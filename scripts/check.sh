@@ -104,14 +104,17 @@ cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=Debug \
 cmake --build build-asan -j "$(nproc)" --target ctms_tests
 ./build-asan/tests/ctms_tests
 
-echo "=== sanitizers: TSan (campaign worker pool) ==="
+echo "=== sanitizers: TSan (campaign/faultsweep worker loop, fabric shard pool) ==="
 cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=Debug \
       -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-omit-frame-pointer"
 cmake --build build-tsan -j "$(nproc)" --target ctms_tests ctms_sim_cli
-# The campaign tests run real worker pools (jobs up to 8), and the fabric determinism
-# tests run real shard pools; the CLI runs below pin both end-to-end paths at --jobs=4.
-./build-tsan/tests/ctms_tests --gtest_filter='Campaign*:Fabric*'
+# The campaign and faultsweep tests run the shared ParallelFor worker loop (jobs up to 8)
+# from both of its callers, and the fabric determinism tests run real shard pools; the CLI
+# runs below pin all three end-to-end paths at --jobs=4.
+./build-tsan/tests/ctms_tests --gtest_filter='Campaign*:FaultSweep*:Fabric*'
 ./build-tsan/tools/ctms_sim --experiment=campaign --grid='seed=1:4' --jobs=4 --duration=1 \
+    > /dev/null
+./build-tsan/tools/ctms_sim --experiment=faultsweep --sweep-levels=2 --duration=2 --jobs=4 \
     > /dev/null
 ./build-tsan/tools/ctms_sim --experiment=fabric --rings=8 --stations-per-ring=8 \
     --fabric-topology=ring-of-rings --duration=2 --jobs=4 > /dev/null

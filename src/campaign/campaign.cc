@@ -1,136 +1,18 @@
 #include "src/campaign/campaign.h"
 
-#include <algorithm>
-#include <atomic>
+#include <cstdio>
 #include <iomanip>
+#include <iostream>
+#include <optional>
 #include <sstream>
-#include <thread>
 #include <utility>
 
-#include "src/core/baseline.h"
-#include "src/core/experiment.h"
-#include "src/core/faultsweep.h"
-#include "src/core/media_mix.h"
-#include "src/core/multi_stream.h"
-#include "src/core/report_stats.h"
-#include "src/core/router.h"
-#include "src/core/server.h"
-#include "src/fabric/fabric.h"
+#include "src/core/parallel.h"
 
 namespace ctms {
 
-namespace {
-
-RunSummaryInfo InfoFor(const ScenarioConfig& options, std::string scenario) {
-  RunSummaryInfo info;
-  info.scenario = std::move(scenario);
-  info.duration_s = static_cast<double>(options.duration_s);
-  info.seed = options.seed;
-  return info;
-}
-
-void AttachFaultReport(RunSummaryInfo* info, RingTopology& topology) {
-  if (const FaultInjector* injector = topology.fault_injector()) {
-    info->fault = injector->report().Stats();
-  }
-}
-
-// Snapshots the run's registry into the record, cut loose from the Simulation that owns
-// the live one.
-void SnapshotMetrics(CampaignRunRecord* record, Simulation& sim) {
-  record->metrics = std::make_unique<MetricsRegistry>();
-  record->metrics->MergeFrom(sim.telemetry().metrics);
-}
-
-}  // namespace
-
 CampaignRunRecord RunScenarioJob(const CampaignJob& job) {
-  const ScenarioConfig& options = job.config;
-  CampaignRunRecord record;
-  record.label = job.label;
-  if (options.experiment == "baseline") {
-    BaselineExperiment experiment(BaselineConfigFrom(options));
-    const BaselineReport report = experiment.Run();
-    record.info = InfoFor(options, options.tcp ? "baseline-tcp" : "baseline-udp");
-    record.info.stats = SummaryStats(report);
-    AttachFaultReport(&record.info, experiment.topology());
-    SnapshotMetrics(&record, experiment.sim());
-    record.healthy = report.Sustained();
-  } else if (options.experiment == "multistream") {
-    MultiStreamExperiment experiment(MultiStreamConfigFrom(options));
-    const MultiStreamReport report = experiment.Run();
-    record.info = InfoFor(options, "multistream");
-    record.info.stats = SummaryStats(report);
-    AttachFaultReport(&record.info, experiment.topology());
-    SnapshotMetrics(&record, experiment.sim());
-    record.healthy = report.AllSustained();
-  } else if (options.experiment == "server") {
-    ServerExperiment experiment(ServerConfigFrom(options));
-    const ServerReport report = experiment.Run();
-    record.info = InfoFor(options, "server");
-    record.info.stats = SummaryStats(report);
-    AttachFaultReport(&record.info, experiment.topology());
-    SnapshotMetrics(&record, experiment.sim());
-    record.healthy = report.AllSustained();
-  } else if (options.experiment == "router") {
-    RouterExperiment experiment(RouterConfigFrom(options));
-    const RouterReport report = experiment.Run();
-    record.info = InfoFor(options, options.zero_copy ? "router-zero-copy" : "router-mbuf");
-    record.info.stats = SummaryStats(report);
-    AttachFaultReport(&record.info, experiment.topology());
-    SnapshotMetrics(&record, experiment.sim());
-    record.healthy = report.KeepsUp();
-  } else if (options.experiment == "fabric") {
-    FabricExperiment experiment(FabricConfigFrom(options));
-    const FabricReport report = experiment.Run();
-    record.info = InfoFor(options, "fabric");
-    record.info.stats = SummaryStats(report);
-    if (!options.faults.events().empty()) {
-      AttachFaultReport(
-          &record.info,
-          experiment.shard(static_cast<size_t>(report.config.fault_shard)));
-    }
-    // The fabric spans many simulations; snapshot the merged "shard<i>." registry so the
-    // campaign's "run<j>." prefixing nests it one level deeper.
-    record.metrics = std::make_unique<MetricsRegistry>();
-    experiment.MergeMetricsInto(record.metrics.get());
-    record.healthy = report.Healthy();
-  } else if (options.experiment == "mediamix") {
-    MediaMixExperiment experiment(MediaMixConfigFrom(options));
-    const MediaMixReport report = experiment.Run();
-    record.info = InfoFor(options,
-                          options.quality_controller ? "mediamix-controller" : "mediamix-fifo");
-    record.info.stats = SummaryStats(report);
-    AttachFaultReport(&record.info, experiment.topology());
-    SnapshotMetrics(&record, experiment.sim());
-    record.healthy = report.Healthy();
-  } else if (options.experiment == "faultsweep") {
-    FaultSweepExperiment experiment(FaultSweepConfigFrom(options));
-    const FaultSweepReport report = experiment.Run();
-    record.info = InfoFor(options, "faultsweep");
-    record.info.stats = SummaryStats(report);
-    // The sweep spans many simulations; there is no single registry to snapshot.
-    const auto& recoveries = report.config.recoveries;
-    const bool has_none = std::find(recoveries.begin(), recoveries.end(),
-                                    RecoveryMode::kNone) != recoveries.end();
-    bool healthy = !has_none || report.RetransmitBeatsDrop();
-    for (DegradationMode policy : report.config.policies) {
-      for (RecoveryMode recovery : recoveries) {
-        healthy = healthy && report.MonotoneNonIncreasing(policy, recovery);
-      }
-    }
-    record.healthy = healthy;
-  } else {
-    const CtmsConfig config = CtmsConfigFrom(options);
-    CtmsExperiment experiment(config);
-    const ExperimentReport report = experiment.Run();
-    record.info = InfoFor(options, config.name);
-    record.info.stats = SummaryStats(report);
-    AttachFaultReport(&record.info, experiment.topology());
-    SnapshotMetrics(&record, experiment.sim());
-    record.healthy = report.packets_lost == 0 && report.sink_underruns == 0;
-  }
-  return record;
+  return {FindExperiment(job.config.experiment)->run(job.config, /*output=*/false), job.label};
 }
 
 CampaignRunner::CampaignRunner(ScenarioConfig base, CampaignGrid grid, Options options)
@@ -149,42 +31,32 @@ std::string CampaignRunner::Prepare() {
     job.index = i;
     job.label = points[i].Label();
     ScenarioConfig cell = base_;
-    cell.experiment = base_.cell_experiment;
-    cell.grid_spec.clear();
-    cell.jobs = 1;
-    // Output belongs to the campaign, rendered once from the merged report; cells must
-    // never write files or print (workers would race on the same paths).
-    cell.histogram = 0;
-    cell.csv_prefix.clear();
-    cell.metrics_json.clear();
-    cell.trace_json.clear();
-    cell.journey_json.clear();
-    cell.print_metrics = false;
+    std::string error;
     for (const auto& [name, value] : points[i].assignments) {
-      // The campaign's own shape is not sweepable from inside itself.
-      if (name == "experiment" || name == "grid" || name == "jobs" ||
-          name == "cell-experiment") {
+      if (ScenarioFlagReadBy(name, "campaign")) {
         return "grid axis '" + name + "' cannot be swept inside a campaign";
       }
-      std::string error;
       if (!ApplyScenarioAxis(&cell, name, value, &error)) {
         return "grid point " + job.label + ": " + error;
       }
     }
-    const std::string error = ValidateScenarioConfig(cell);
+    // Still a campaign config here, so validation refuses what its cells do not read.
+    error = ValidateScenarioConfig(cell);
+    if (error.empty() &&
+        (cell.faults_path != base_.faults_path || cell.trace_path != base_.trace_path)) {
+      error = LoadScenarioFiles(&cell);  // an axis swept a file; the parsed copy is stale
+    }
     if (!error.empty()) {
       return "grid point " + job.label + ": " + error;
     }
-    if (cell.faults_path != base_.faults_path) {
-      // A faults axis swept the plan file; the pre-parsed base plan no longer matches.
-      std::string load_error;
-      auto plan = FaultPlan::LoadFile(cell.faults_path, &load_error);
-      if (!plan.has_value()) {
-        return "grid point " + job.label + ": bad fault plan " + cell.faults_path + ": " +
-               load_error;
-      }
-      cell.faults = std::move(*plan);
-    }
+    // The campaign keeps its own flags. A cell runs without output, so it never writes a
+    // file or prints (workers would race on the same paths).
+    cell.experiment = base_.cell_experiment;
+    cell.cell_experiment = ScenarioConfig().cell_experiment;
+    cell.grid_spec.clear();
+    cell.jobs = 1;
+    cell.independent_faults = false;
+    cell.metrics_json.clear();
     if (options_.independent_faults) {
       // Submission index + 1: salt 0 means "no salt" to the injector fork.
       cell.faults.set_rng_salt(static_cast<uint64_t>(i) + 1);
@@ -196,12 +68,6 @@ std::string CampaignRunner::Prepare() {
   return "";
 }
 
-CampaignRunRecord CampaignRunner::RunOne(const CampaignJob& job) {
-  CampaignRunRecord record = options_.run_job ? options_.run_job(job) : RunScenarioJob(job);
-  record.label = job.label;
-  return record;
-}
-
 CampaignReport CampaignRunner::Run() {
   CampaignReport report;
   report.cell_experiment = base_.cell_experiment;
@@ -209,41 +75,15 @@ CampaignReport CampaignRunner::Run() {
   if (!prepared_) {
     return report;
   }
+  // Job i writes only report.runs[i], so the merge below needs no synchronization.
   report.runs.resize(jobs_.size());
-  const size_t worker_count =
-      std::min(static_cast<size_t>(options_.jobs), jobs_.size());
-  if (worker_count <= 1) {
-    for (const CampaignJob& job : jobs_) {
-      if (options_.before_run) {
-        options_.before_run(job.index);
-      }
-      report.runs[job.index] = RunOne(job);
+  ParallelFor(jobs_.size(), options_.jobs, [&](size_t i) {
+    if (options_.before_run) {
+      options_.before_run(i);
     }
-    return report;
-  }
-  // Shared state between workers: the claim cursor, and each worker's exclusive result
-  // slots. A worker claims job i, runs it on a testbed it alone owns, and writes only
-  // report.runs[i]; the join below is the only synchronization the merge needs.
-  std::atomic<size_t> next{0};
-  std::vector<std::thread> workers;
-  workers.reserve(worker_count);
-  for (size_t w = 0; w < worker_count; ++w) {
-    workers.emplace_back([&]() {
-      while (true) {
-        const size_t i = next.fetch_add(1);
-        if (i >= jobs_.size()) {
-          return;
-        }
-        if (options_.before_run) {
-          options_.before_run(i);
-        }
-        report.runs[i] = RunOne(jobs_[i]);
-      }
-    });
-  }
-  for (std::thread& worker : workers) {
-    worker.join();
-  }
+    report.runs[i] = options_.run_job ? options_.run_job(jobs_[i]) : RunScenarioJob(jobs_[i]);
+    report.runs[i].label = jobs_[i].label;
+  });
   return report;
 }
 
@@ -292,6 +132,36 @@ std::string CampaignReport::MergedJson() const {
 
 bool CampaignReport::WriteMergedJson(const std::string& path) const {
   return WriteCampaignJson(cell_experiment, grid_spec, Views(), path);
+}
+
+ExperimentRun RunCampaign(const ScenarioConfig& config, bool output) {
+  ExperimentRun run;
+  std::string error;
+  std::optional<CampaignGrid> grid = CampaignGrid::Parse(config.grid_spec, &error);
+  std::optional<CampaignRunner> runner;
+  if (grid.has_value()) {
+    CampaignRunner::Options options;
+    options.jobs = config.jobs;
+    options.independent_faults = config.independent_faults;
+    runner.emplace(config, std::move(*grid), std::move(options));
+    error = runner->Prepare();
+  }
+  if (!error.empty()) {
+    std::fprintf(stderr, "bad campaign: %s\n", error.c_str());
+    run.ok = false;
+    return run;
+  }
+  const CampaignReport report = runner->Run();
+  run.healthy = report.AllHealthy();
+  if (output) {
+    std::cout << report.Summary();
+    if (!config.metrics_json.empty()) {
+      run.ok = report.WriteMergedJson(config.metrics_json);
+      std::fprintf(run.ok ? stdout : stderr, "%s %s\n", run.ok ? "wrote" : "cannot write",
+                   config.metrics_json.c_str());
+    }
+  }
+  return run;
 }
 
 }  // namespace ctms

@@ -1,14 +1,15 @@
 // CampaignRunner — fan a grid of ScenarioConfig runs across a worker pool, merge the
 // results in job-submission order.
 //
-// Each worker owns one fully isolated testbed at a time (its own Simulation, RingTopology,
-// telemetry registry, RNG); workers share nothing but the job queue cursor and their
-// pre-sized result slots. The merge happens single-threaded after every worker has joined,
-// walking the records in submission (grid-expansion) order — never completion order — so
-// the merged report is byte-identical whatever the worker count or the OS schedule:
-// `--jobs=1` and `--jobs=8` must produce the same bytes, and tests compare them with
-// string equality. Nothing thread-count- or wall-clock-dependent may enter a record or the
-// merged output.
+// Each cell runs its experiment's registry row (experiment_registry.h) on the shared
+// ParallelFor loop. Each worker owns one fully isolated testbed at a time (its own
+// Simulation, RingTopology, telemetry registry, RNG); workers share nothing but the job
+// cursor and their pre-sized result slots. The merge happens single-threaded after every
+// worker has joined, walking the records in submission (grid-expansion) order — never
+// completion order — so the merged report is byte-identical whatever the worker count or
+// the OS schedule: `--jobs=1` and `--jobs=8` must produce the same bytes, and tests compare
+// them with string equality. Nothing thread-count- or wall-clock-dependent may enter a
+// record or the merged output.
 
 #ifndef SRC_CAMPAIGN_CAMPAIGN_H_
 #define SRC_CAMPAIGN_CAMPAIGN_H_
@@ -20,6 +21,7 @@
 #include <vector>
 
 #include "src/campaign/grid.h"
+#include "src/core/experiment_registry.h"
 #include "src/core/scenario_cli.h"
 #include "src/telemetry/json_export.h"
 #include "src/telemetry/metrics.h"
@@ -34,14 +36,10 @@ struct CampaignJob {
   ScenarioConfig config;
 };
 
-// What one run leaves behind, snapshotted free of its Simulation so the worker tears the
-// whole testbed down before the merge: the run summary (stats + fault report) and a copy
-// of the run's metrics registry (null for faultsweep cells, which span many simulations).
-struct CampaignRunRecord {
+// What one cell leaves behind — its experiment's record, free of its Simulation so the
+// worker tears the whole testbed down before the merge — under the cell's grid label.
+struct CampaignRunRecord : ExperimentRun {
   std::string label;
-  bool healthy = false;
-  RunSummaryInfo info;
-  std::unique_ptr<MetricsRegistry> metrics;
 };
 
 struct CampaignReport {
@@ -93,14 +91,11 @@ class CampaignRunner {
 
   const std::vector<CampaignJob>& jobs() const { return jobs_; }
 
-  // Runs every job — inline for jobs==1 (zero thread machinery), on a pool of
-  // min(jobs, job count) workers otherwise — and returns the records merged in submission
-  // order. Prepare() must have succeeded.
+  // Runs every job on ParallelFor with min(jobs, job count) workers (inline for jobs==1)
+  // and returns the records merged in submission order. Prepare() must have succeeded.
   CampaignReport Run();
 
  private:
-  CampaignRunRecord RunOne(const CampaignJob& job);
-
   ScenarioConfig base_;
   CampaignGrid grid_;
   Options options_;
@@ -108,10 +103,15 @@ class CampaignRunner {
   bool prepared_ = false;
 };
 
-// The default per-job dispatch: builds the cell experiment from job.config, runs it, and
-// snapshots summary stats, the fault report, and the metrics registry. Exposed so tests
-// can wrap it or call it directly.
+// The default per-job dispatch: the cell experiment's registry row, run without output.
+// Exposed so tests and benchmarks can wrap it or call it directly.
 CampaignRunRecord RunScenarioJob(const CampaignJob& job);
+
+// The campaign experiment's run function (the registry's campaign row cannot hold it,
+// because this library sits above src/core): parses --grid, runs every cell, and with
+// `output` prints the summary and writes the merged --metrics-json. A grid that does not
+// expand is reported on stderr and returned as !ok.
+ExperimentRun RunCampaign(const ScenarioConfig& config, bool output);
 
 }  // namespace ctms
 

@@ -1,11 +1,11 @@
 #include "src/core/faultsweep.h"
 
 #include <algorithm>
-#include <atomic>
 #include <iomanip>
 #include <sstream>
-#include <thread>
 #include <utility>
+
+#include "src/core/parallel.h"
 
 namespace ctms {
 
@@ -18,6 +18,12 @@ struct SweepCell {
   DegradationMode policy = DegradationMode::kDropOldest;
   RecoveryMode recovery = RecoveryMode::kNone;
 };
+
+// Whether the recovery-free curves are swept.
+bool SweepsNone(const FaultSweepConfig& config) {
+  return std::find(config.recoveries.begin(), config.recoveries.end(), RecoveryMode::kNone) !=
+         config.recoveries.end();
+}
 
 }  // namespace
 
@@ -106,33 +112,7 @@ FaultSweepReport FaultSweepExperiment::Run() {
     report.rows[index] = row;
   };
 
-  const size_t worker_count = std::min(static_cast<size_t>(std::max(config_.jobs, 1)),
-                                       cells.size());
-  if (worker_count <= 1) {
-    for (size_t i = 0; i < cells.size(); ++i) {
-      run_cell(i);
-    }
-    return report;
-  }
-  // Same shape as the campaign runner: a shared claim cursor, exclusive result slots, and
-  // the join as the only synchronization the merge needs.
-  std::atomic<size_t> next{0};
-  std::vector<std::thread> workers;
-  workers.reserve(worker_count);
-  for (size_t w = 0; w < worker_count; ++w) {
-    workers.emplace_back([&]() {
-      while (true) {
-        const size_t i = next.fetch_add(1);
-        if (i >= cells.size()) {
-          return;
-        }
-        run_cell(i);
-      }
-    });
-  }
-  for (std::thread& worker : workers) {
-    worker.join();
-  }
+  ParallelFor(cells.size(), config_.jobs, run_cell);
   return report;
 }
 
@@ -160,6 +140,16 @@ bool FaultSweepReport::MonotoneNonIncreasing(DegradationMode policy,
     previous = row;
   }
   return previous != nullptr;
+}
+
+bool FaultSweepReport::Healthy() const {
+  bool healthy = !SweepsNone(config) || RetransmitBeatsDrop();
+  for (DegradationMode policy : config.policies) {
+    for (RecoveryMode recovery : config.recoveries) {
+      healthy = healthy && MonotoneNonIncreasing(policy, recovery);
+    }
+  }
+  return healthy;
 }
 
 bool FaultSweepReport::RetransmitBeatsDrop() const {
@@ -210,9 +200,7 @@ std::string FaultSweepReport::Summary() const {
          << "\n";
     }
   }
-  const bool has_none = std::find(config.recoveries.begin(), config.recoveries.end(),
-                                  RecoveryMode::kNone) != config.recoveries.end();
-  if (has_none) {
+  if (SweepsNone(config)) {
     os << "  purge-retransmit beats drop-oldest at every non-zero intensity: "
        << (RetransmitBeatsDrop() ? "yes" : "NO") << "\n";
   }

@@ -6,9 +6,9 @@
 // add damage, which is what makes "delivered ratio is monotone non-increasing in L" a
 // meaningful acceptance check rather than a coin flip. Each (level, policy, recovery) cell
 // runs the full CtmsExperiment with the same seed; only the FaultPlan, the DegradationMode,
-// and the RecoveryMode differ. Cells are independent simulations, so `jobs` workers may
-// claim them from a shared cursor and write disjoint row slots — the report is byte-
-// identical at any worker count.
+// and the RecoveryMode differ. Cells are independent simulations, so `jobs` workers run
+// them on ParallelFor (src/core/parallel.h) and write disjoint row slots — the report is
+// byte-identical at any worker count.
 
 #ifndef SRC_CORE_FAULTSWEEP_H_
 #define SRC_CORE_FAULTSWEEP_H_
@@ -86,6 +86,9 @@ struct FaultSweepReport {
   // At every non-zero intensity, purge-retransmit delivers strictly more than drop-oldest
   // (compares the recovery-free curves; meaningless unless kNone is swept).
   bool RetransmitBeatsDrop() const;
+  // The sweep's acceptance: every curve is monotone non-increasing and, when the
+  // recovery-free curves were swept, purge-retransmit beats drop-oldest.
+  bool Healthy() const;
 
   std::string Summary() const;
 };

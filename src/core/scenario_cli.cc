@@ -2,9 +2,15 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <optional>
+#include <string>
+#include <string_view>
 #include <type_traits>
+#include <utility>
 #include <variant>
 #include <vector>
+
+#include "src/core/experiment_registry.h"
 
 namespace ctms {
 
@@ -12,83 +18,156 @@ namespace {
 
 // ---------------------------------------------------------------------------------------
 // Table-driven flag surface (moved here from tools/ctms_sim.cc so the campaign grid can
-// sweep any flag). Three tables describe every axis: presence/bool flags, value flags that
-// fill a ScenarioConfig member, and post-parse validations. Adding a flag is one table row.
+// sweep any flag). Two tables describe every axis: the flags, each filling one
+// ScenarioConfig member, and the post-parse validations. Adding a flag is one table row.
 
-struct BoolFlag {
+// Who reads a flag: the experiments whose run reads it, by registry name ("cells" names
+// every experiment a campaign cell may run), and whether only the output step reads it.
+// Campaign cells never run the output step, so a campaign passes them no output flag.
+struct Readers {
+  const char* experiments;
+  bool output = false;
+};
+
+constexpr Readers Output(const char* experiments) { return {experiments, true}; }
+
+// The experiments that read --faults; --independent-faults salts exactly their plans.
+constexpr Readers kFaultReaders{"ctms baseline multistream server router fabric mediamix"};
+
+using BoolMember = bool ScenarioConfig::*;
+using FlagField = std::variant<BoolMember, std::string ScenarioConfig::*,
+                               int64_t ScenarioConfig::*, uint64_t ScenarioConfig::*,
+                               int ScenarioConfig::*>;
+
+// A bool flag also works bare: `--x` sets its field to true, `--no-x` to false. Of a
+// --x / --no-x pair, the spelling that sets the non-default value comes first, so errors
+// name the spelling the user typed.
+struct Flag {
   const char* name;
-  bool ScenarioConfig::*field;
-  bool presence_value;  // what bare `--flag` (no value) sets the field to
+  FlagField field;
+  Readers readers;
 };
 
-constexpr BoolFlag kBoolFlags[] = {
-    {"tcp", &ScenarioConfig::tcp, true},
-    {"no-driver-priority", &ScenarioConfig::driver_priority, false},
-    {"driver-priority", &ScenarioConfig::driver_priority, true},
-    {"zero-copy", &ScenarioConfig::zero_copy, true},
-    {"retransmit", &ScenarioConfig::retransmit, true},
-    {"ground-truth", &ScenarioConfig::ground_truth_output, true},
-    {"print-metrics", &ScenarioConfig::print_metrics, true},
-    {"independent-faults", &ScenarioConfig::independent_faults, true},
-    {"quality-controller", &ScenarioConfig::quality_controller, true},
-    {"no-quality-controller", &ScenarioConfig::quality_controller, false},
-    {"journeys", &ScenarioConfig::journeys, true},
-    {"stage-histograms", &ScenarioConfig::stage_histograms, true},
+const Flag kFlags[] = {
+    {"experiment", &ScenarioConfig::experiment, {"cells campaign"}},
+    {"scenario", &ScenarioConfig::scenario, {"ctms faultsweep"}},
+    {"duration", &ScenarioConfig::duration_s, {"cells"}},
+    {"seed", &ScenarioConfig::seed, {"cells"}},
+    {"packet-bytes", &ScenarioConfig::packet_bytes,
+     {"ctms faultsweep baseline multistream server router fabric"}},
+    {"period-ms", &ScenarioConfig::period_ms,
+     {"ctms faultsweep baseline multistream server router fabric"}},
+    {"tcp", &ScenarioConfig::tcp, {"baseline"}},
+    {"streams", &ScenarioConfig::streams, {"multistream"}},
+    {"clients", &ScenarioConfig::clients, {"server"}},
+    {"chain-hops", &ScenarioConfig::chain_hops, {"router"}},
+    {"mix", &ScenarioConfig::mix, {"multistream server router fabric mediamix"}},
+    {"quality-controller", &ScenarioConfig::quality_controller, {"mediamix"}},
+    {"no-quality-controller", &ScenarioConfig::quality_controller, {"mediamix"}},
+    {"controller-epoch-ms", &ScenarioConfig::controller_epoch_ms, {"mediamix"}},
+    {"rings", &ScenarioConfig::rings, {"fabric"}},
+    {"stations-per-ring", &ScenarioConfig::stations_per_ring, {"fabric"}},
+    {"fabric-topology", &ScenarioConfig::fabric_topology, {"fabric"}},
+    {"link-latency-us", &ScenarioConfig::link_latency_us, {"fabric"}},
+    {"memory", &ScenarioConfig::memory, {"cells"}},
+    {"no-driver-priority", &ScenarioConfig::driver_priority, {"ctms faultsweep"}},
+    {"driver-priority", &ScenarioConfig::driver_priority, {"ctms faultsweep"}},
+    {"ring-priority", &ScenarioConfig::ring_priority, {"ctms faultsweep multistream mediamix"}},
+    {"zero-copy", &ScenarioConfig::zero_copy, {"ctms faultsweep router"}},
+    {"retransmit", &ScenarioConfig::retransmit, {"ctms"}},
+    {"insertions", &ScenarioConfig::insertion_mean_min, {"ctms faultsweep"}},
+    {"trace", &ScenarioConfig::trace_path, {"ctms"}},
+    {"method", &ScenarioConfig::method, {"ctms faultsweep"}},
+    {"faults", &ScenarioConfig::faults_path, kFaultReaders},
+    {"degradation", &ScenarioConfig::degradation, {"ctms"}},
+    {"retry-budget", &ScenarioConfig::retry_budget, {"ctms faultsweep"}},
+    {"retry-backoff-ms", &ScenarioConfig::retry_backoff_ms, {"ctms faultsweep"}},
+    {"recovery", &ScenarioConfig::recovery, {"ctms faultsweep"}},
+    {"fec-group", &ScenarioConfig::fec_group, {"ctms faultsweep"}},
+    {"nack-delay-us", &ScenarioConfig::nack_delay_us, {"ctms faultsweep"}},
+    {"sweep-levels", &ScenarioConfig::sweep_levels, {"faultsweep"}},
+    {"sweep-purges", &ScenarioConfig::sweep_purges, {"faultsweep"}},
+    {"sweep-spacing-ms", &ScenarioConfig::sweep_spacing_ms, {"faultsweep"}},
+    {"jobs", &ScenarioConfig::jobs, {"fabric faultsweep campaign"}},
+    {"grid", &ScenarioConfig::grid_spec, {"campaign"}},
+    {"cell-experiment", &ScenarioConfig::cell_experiment, {"campaign"}},
+    {"independent-faults", &ScenarioConfig::independent_faults, {"campaign"}},
+    {"journeys", &ScenarioConfig::journeys, {"ctms fabric"}},
+    {"flight-recorder", &ScenarioConfig::flight_recorder, Output("ctms")},
+    {"journey-json", &ScenarioConfig::journey_json, Output("ctms")},
+    {"stage-histograms", &ScenarioConfig::stage_histograms, Output("ctms")},
+    {"histogram", &ScenarioConfig::histogram, Output("ctms")},
+    {"bin-us", &ScenarioConfig::bin_us, Output("ctms")},
+    {"ground-truth", &ScenarioConfig::ground_truth_output, Output("ctms")},
+    {"csv-prefix", &ScenarioConfig::csv_prefix, Output("ctms baseline")},
+    {"metrics-json", &ScenarioConfig::metrics_json, Output("cells campaign")},
+    {"trace-json", &ScenarioConfig::trace_json,
+     Output("ctms baseline multistream server router mediamix")},
+    {"print-metrics", &ScenarioConfig::print_metrics,
+     Output("ctms baseline multistream server router fabric mediamix")},
 };
 
-using ValueTarget = std::variant<std::string ScenarioConfig::*, int64_t ScenarioConfig::*,
-                                 uint64_t ScenarioConfig::*, int ScenarioConfig::*>;
+// The row of `name`, or null.
+const Flag* FindFlag(const std::string& name) {
+  for (const Flag& flag : kFlags) {
+    if (name == flag.name) {
+      return &flag;
+    }
+  }
+  return nullptr;
+}
 
-struct ValueFlag {
-  const char* name;
-  ValueTarget target;
-  bool require_nonempty;  // reject `--flag=` when the value is mandatory
-};
+// What bare `--name` sets a bool flag's field to.
+bool PresenceValue(const Flag& flag) {
+  return std::string_view(flag.name).substr(0, 3) != "no-";
+}
 
-const ValueFlag kValueFlags[] = {
-    {"experiment", &ScenarioConfig::experiment, true},
-    {"scenario", &ScenarioConfig::scenario, true},
-    {"duration", &ScenarioConfig::duration_s, false},
-    {"seed", &ScenarioConfig::seed, false},
-    {"packet-bytes", &ScenarioConfig::packet_bytes, false},
-    {"period-ms", &ScenarioConfig::period_ms, false},
-    {"streams", &ScenarioConfig::streams, false},
-    {"clients", &ScenarioConfig::clients, false},
-    {"chain-hops", &ScenarioConfig::chain_hops, false},
-    {"mix", &ScenarioConfig::mix, true},
-    {"controller-epoch-ms", &ScenarioConfig::controller_epoch_ms, false},
-    {"rings", &ScenarioConfig::rings, false},
-    {"stations-per-ring", &ScenarioConfig::stations_per_ring, false},
-    {"fabric-topology", &ScenarioConfig::fabric_topology, true},
-    {"link-latency-us", &ScenarioConfig::link_latency_us, false},
-    {"memory", &ScenarioConfig::memory, true},
-    {"method", &ScenarioConfig::method, true},
-    {"ring-priority", &ScenarioConfig::ring_priority, false},
-    {"insertions", &ScenarioConfig::insertion_mean_min, false},
-    {"faults", &ScenarioConfig::faults_path, true},
-    {"degradation", &ScenarioConfig::degradation, true},
-    {"retry-budget", &ScenarioConfig::retry_budget, false},
-    {"retry-backoff-ms", &ScenarioConfig::retry_backoff_ms, false},
-    {"recovery", &ScenarioConfig::recovery, true},
-    {"fec-group", &ScenarioConfig::fec_group, false},
-    {"nack-delay-us", &ScenarioConfig::nack_delay_us, false},
-    {"sweep-levels", &ScenarioConfig::sweep_levels, false},
-    {"sweep-purges", &ScenarioConfig::sweep_purges, false},
-    {"sweep-spacing-ms", &ScenarioConfig::sweep_spacing_ms, false},
-    {"jobs", &ScenarioConfig::jobs, false},
-    {"grid", &ScenarioConfig::grid_spec, true},
-    {"cell-experiment", &ScenarioConfig::cell_experiment, true},
-    {"histogram", &ScenarioConfig::histogram, false},
-    {"bin-us", &ScenarioConfig::bin_us, false},
-    {"csv-prefix", &ScenarioConfig::csv_prefix, false},
-    {"trace", &ScenarioConfig::trace_path, false},
-    {"metrics-json", &ScenarioConfig::metrics_json, true},
-    {"trace-json", &ScenarioConfig::trace_json, true},
-    {"flight-recorder", &ScenarioConfig::flight_recorder, false},
-    {"journey-json", &ScenarioConfig::journey_json, true},
-};
+// Whether `readers` names `experiment`, directly or through "cells".
+bool Names(const Readers& readers, std::string_view experiment) {
+  const ExperimentEntry* entry = FindExperiment(experiment);
+  for (std::string_view list = readers.experiments; !list.empty();) {
+    const std::string_view word = list.substr(0, list.find(' '));
+    list.remove_prefix(std::min(word.size() + 1, list.size()));
+    if (word == experiment || (word == "cells" && entry != nullptr && entry->cell)) {
+      return true;
+    }
+  }
+  return false;
+}
 
-void StoreValue(ScenarioConfig* options, const ValueTarget& target, const std::string& value) {
+// Whether a run of `config` reads a flag with these readers: its experiment's, or for a
+// campaign its own flags plus what its cells read outside the output step.
+bool Reads(const ScenarioConfig& config, const Readers& readers) {
+  if (config.experiment != "campaign") {
+    return Names(readers, config.experiment);
+  }
+  return Names(readers, "campaign") ||
+         (!readers.output && Names(readers, config.cell_experiment));
+}
+
+// The error for the first flag set to a non-default value that a run of `config` does not
+// read, or "".
+std::string UnreadFlagError(const ScenarioConfig& config) {
+  static const ScenarioConfig defaults;
+  for (const Flag& flag : kFlags) {
+    const bool set = std::visit(
+        [&](auto member) { return config.*member != defaults.*member; }, flag.field);
+    if (set && !Reads(config, flag.readers)) {
+      return "--" + std::string(flag.name) + " is not read by the " +
+             (config.experiment == "campaign"
+                  ? "campaign experiment or its " + config.cell_experiment + " cells"
+                  : config.experiment + " experiment");
+    }
+  }
+  if (config.experiment == "campaign" && config.independent_faults &&
+      !Names(kFaultReaders, config.cell_experiment)) {
+    return "--independent-faults salts the cells' fault plans, and " +
+           config.cell_experiment + " cells do not read --faults";
+  }
+  return "";
+}
+
+void StoreValue(ScenarioConfig* options, const FlagField& target, const std::string& value) {
   std::visit(
       [&](auto member) {
         using Field = std::remove_reference_t<decltype(options->*member)>;
@@ -101,24 +180,9 @@ void StoreValue(ScenarioConfig* options, const ValueTarget& target, const std::s
       target);
 }
 
-// The one experiment registry. Both --experiment and --cell-experiment validate against
-// this table (they used to carry hand-copied lists that had already drifted); `cell` marks
-// the experiments a campaign grid cell may run — everything but the campaign driver itself,
-// whose nesting the campaign rejects with its own message.
-struct ExperimentEntry {
-  const char* name;
-  bool cell;
-};
-
-constexpr ExperimentEntry kExperiments[] = {
-    {"ctms", true},        {"baseline", true}, {"multistream", true},
-    {"server", true},      {"router", true},   {"faultsweep", true},
-    {"fabric", true},      {"mediamix", true}, {"campaign", false},
-};
-
 std::vector<const char*> ExperimentNames(bool cell_only) {
   std::vector<const char*> names;
-  for (const ExperimentEntry& entry : kExperiments) {
+  for (const ExperimentEntry& entry : Experiments()) {
     if (!cell_only || entry.cell) {
       names.push_back(entry.name);
     }
@@ -157,7 +221,7 @@ struct RangeCheck {
   std::variant<int64_t ScenarioConfig::*, int ScenarioConfig::*> field;
   int64_t min;
   int64_t max;
-  const char* message;
+  const char* message;  // null: "--<name> must be between <min> and <max>"
 };
 
 const RangeCheck kRangeChecks[] = {
@@ -166,36 +230,30 @@ const RangeCheck kRangeChecks[] = {
     {"packet-bytes", &ScenarioConfig::packet_bytes, 1, INT64_MAX,
      "--packet-bytes must be positive"},
     {"period-ms", &ScenarioConfig::period_ms, 1, INT64_MAX, "--period-ms must be positive"},
-    {"streams", &ScenarioConfig::streams, 1, 16, "--streams must be between 1 and 16"},
-    {"clients", &ScenarioConfig::clients, 1, 16, "--clients must be between 1 and 16"},
-    {"retry-budget", &ScenarioConfig::retry_budget, 0, 1000,
-     "--retry-budget must be between 0 and 1000"},
+    {"streams", &ScenarioConfig::streams, 1, 16, nullptr},
+    {"clients", &ScenarioConfig::clients, 1, 16, nullptr},
+    {"retry-budget", &ScenarioConfig::retry_budget, 0, 1000, nullptr},
     {"retry-backoff-ms", &ScenarioConfig::retry_backoff_ms, 0, INT64_MAX,
      "--retry-backoff-ms must be non-negative"},
-    {"sweep-levels", &ScenarioConfig::sweep_levels, 1, 16,
-     "--sweep-levels must be between 1 and 16"},
-    {"sweep-purges", &ScenarioConfig::sweep_purges, 1, 1000,
-     "--sweep-purges must be between 1 and 1000"},
+    {"sweep-levels", &ScenarioConfig::sweep_levels, 2, 16,
+     "--sweep-levels must be between 2 and 16 (level 0 is the fault-free reference)"},
+    {"sweep-purges", &ScenarioConfig::sweep_purges, 1, 1000, nullptr},
     {"sweep-spacing-ms", &ScenarioConfig::sweep_spacing_ms, 1, INT64_MAX,
      "--sweep-spacing-ms must be positive"},
     {"fec-group", &ScenarioConfig::fec_group, 1, 32,
      "--fec-group must be between 1 and 32 (the parity coverage mask is 32 bits)"},
     {"nack-delay-us", &ScenarioConfig::nack_delay_us, 0, INT64_MAX,
      "--nack-delay-us must be non-negative"},
-    {"jobs", &ScenarioConfig::jobs, 1, 64, "--jobs must be between 1 and 64"},
-    {"chain-hops", &ScenarioConfig::chain_hops, 1, 8,
-     "--chain-hops must be between 1 and 8"},
-    {"rings", &ScenarioConfig::rings, 1, 64, "--rings must be between 1 and 64"},
-    {"stations-per-ring", &ScenarioConfig::stations_per_ring, 2, 4096,
-     "--stations-per-ring must be between 2 and 4096"},
+    {"jobs", &ScenarioConfig::jobs, 1, 64, nullptr},
+    {"chain-hops", &ScenarioConfig::chain_hops, 1, 8, nullptr},
+    {"rings", &ScenarioConfig::rings, 1, 64, nullptr},
+    {"stations-per-ring", &ScenarioConfig::stations_per_ring, 2, 4096, nullptr},
     {"link-latency-us", &ScenarioConfig::link_latency_us, 1, INT64_MAX,
      "--link-latency-us must be positive (it is the fabric lookahead window)"},
     {"histogram", &ScenarioConfig::histogram, 0, 7,
      "--histogram must be between 1 and 7, or 0 for none"},
-    {"flight-recorder", &ScenarioConfig::flight_recorder, 1, 1'000'000,
-     "--flight-recorder must be between 1 and 1000000"},
-    {"controller-epoch-ms", &ScenarioConfig::controller_epoch_ms, 1, 60'000,
-     "--controller-epoch-ms must be between 1 and 60000"},
+    {"flight-recorder", &ScenarioConfig::flight_recorder, 1, 1'000'000, nullptr},
+    {"controller-epoch-ms", &ScenarioConfig::controller_epoch_ms, 1, 60'000, nullptr},
 };
 
 // Splits a --recovery spelling into its family tokens. The flag accepts a list ("resend,
@@ -216,55 +274,51 @@ std::vector<std::string> SplitRecoverySpec(const std::string& spec) {
   return tokens;
 }
 
+// The fields every other experiment's config shares with the scenario.
+template <typename Config>
+Config SharedConfig(const ScenarioConfig& cli) {
+  Config config;
+  config.duration = Seconds(cli.duration_s);
+  config.seed = cli.seed;
+  config.dma_buffer_kind = cli.MemoryKindValue();
+  config.faults = cli.faults;
+  return config;
+}
+
 }  // namespace
 
 bool ApplyScenarioAxis(ScenarioConfig* config, const std::string& name,
                        const std::string& value, std::string* error) {
-  for (const ValueFlag& flag : kValueFlags) {
-    if (name != flag.name) {
-      continue;
+  const Flag* flag = FindFlag(name);
+  std::string problem;
+  if (flag == nullptr) {
+    problem = "unknown flag --" + name;
+  } else if (!std::holds_alternative<BoolMember>(flag->field)) {
+    if (value.empty()) {
+      problem = "--" + name + " requires a value";
+    } else {
+      StoreValue(config, flag->field, value);
     }
-    if (flag.require_nonempty && value.empty()) {
-      if (error != nullptr) {
-        *error = "--" + name + " requires a value";
-      }
-      return false;
-    }
-    StoreValue(config, flag.target, value);
-    return true;
+  } else if (value != "1" && value != "true" && value != "0" && value != "false") {
+    problem = "--" + name + " takes 0/1/true/false, got \"" + value + "\"";
+  } else {
+    // 1 means "as if the flag were present", 0 the opposite — so a "no-" spelling inverts.
+    const bool present = value == "1" || value == "true";
+    config->*std::get<BoolMember>(flag->field) = present == PresenceValue(*flag);
   }
-  for (const BoolFlag& flag : kBoolFlags) {
-    if (name != flag.name) {
-      continue;
-    }
-    bool parsed = false;
-    if (value == "1" || value == "true") {
-      parsed = true;
-    } else if (value != "0" && value != "false") {
-      if (error != nullptr) {
-        *error = "--" + name + " takes 0/1/true/false, got \"" + value + "\"";
-      }
-      return false;
-    }
-    // The table stores what *presence* sets the field to; value 1 means "as if the flag
-    // were present", 0 the opposite — so a "no-" spelling inverts naturally.
-    config->*flag.field = parsed ? flag.presence_value : !flag.presence_value;
-    return true;
+  if (!problem.empty() && error != nullptr) {
+    *error = problem;
   }
-  if (error != nullptr) {
-    *error = "unknown flag --" + name;
-  }
-  return false;
+  return problem.empty();
 }
 
 bool ApplyScenarioPresenceFlag(ScenarioConfig* config, const std::string& name) {
-  for (const BoolFlag& flag : kBoolFlags) {
-    if (name == flag.name) {
-      config->*flag.field = flag.presence_value;
-      return true;
-    }
+  const Flag* flag = FindFlag(name);
+  if (flag == nullptr || !std::holds_alternative<BoolMember>(flag->field)) {
+    return false;
   }
-  return false;
+  config->*std::get<BoolMember>(flag->field) = PresenceValue(*flag);
+  return true;
 }
 
 std::string ValidateScenarioConfig(const ScenarioConfig& config) {
@@ -284,7 +338,10 @@ std::string ValidateScenarioConfig(const ScenarioConfig& config) {
     const int64_t value = std::visit(
         [&](auto member) { return static_cast<int64_t>(config.*member); }, check.field);
     if (value < check.min || value > check.max) {
-      return check.message;
+      return check.message != nullptr ? check.message
+                                       : "--" + std::string(check.name) + " must be between " +
+                                             std::to_string(check.min) + " and " +
+                                             std::to_string(check.max);
     }
   }
   // --recovery is a list flag (faultsweep runs every named family), so it validates here
@@ -301,7 +358,41 @@ std::string ValidateScenarioConfig(const ScenarioConfig& config) {
       return error;
     }
   }
+  return UnreadFlagError(config);
+}
+
+std::string LoadScenarioFiles(ScenarioConfig* config) {
+  if (!config->faults_path.empty()) {
+    std::string error;
+    std::optional<FaultPlan> plan = FaultPlan::LoadFile(config->faults_path, &error);
+    if (!plan.has_value()) {
+      return "bad fault plan " + config->faults_path + ": " + error;
+    }
+    config->faults = std::move(*plan);
+  }
+  if (!config->trace_path.empty()) {
+    int error_line = 0;
+    auto trace = TraceReplayTraffic::LoadCsv(config->trace_path, &error_line);
+    if (!trace.has_value()) {
+      return "bad trace file " + config->trace_path + " (line " +
+             std::to_string(error_line) + ")";
+    }
+    config->trace = std::move(*trace);
+  }
   return "";
+}
+
+std::vector<std::string> ScenarioFlagNames() {
+  std::vector<std::string> names;
+  for (const Flag& flag : kFlags) {
+    names.push_back(flag.name);
+  }
+  return names;
+}
+
+bool ScenarioFlagReadBy(const std::string& flag, const std::string& experiment) {
+  const Flag* row = FindFlag(flag);
+  return row != nullptr && Names(row->readers, experiment);
 }
 
 std::vector<WorkloadEntry> ScenarioWorkload(const ScenarioConfig& cli) {
@@ -377,46 +468,34 @@ CtmsConfig CtmsConfigFrom(const ScenarioConfig& cli) {
 }
 
 BaselineConfig BaselineConfigFrom(const ScenarioConfig& cli) {
-  BaselineConfig config;
+  BaselineConfig config = SharedConfig<BaselineConfig>(cli);
   config.packet_bytes = cli.packet_bytes;
   config.packet_period = Milliseconds(cli.period_ms);
   config.use_tcp = cli.tcp;
-  config.duration = Seconds(cli.duration_s);
-  config.seed = cli.seed;
-  config.dma_buffer_kind = cli.MemoryKindValue();
-  config.faults = cli.faults;
   return config;
 }
 
 MultiStreamConfig MultiStreamConfigFrom(const ScenarioConfig& cli) {
-  MultiStreamConfig config;
+  MultiStreamConfig config = SharedConfig<MultiStreamConfig>(cli);
   config.streams = static_cast<int>(cli.streams);
   config.packet_bytes = cli.packet_bytes;
   config.packet_period = Milliseconds(cli.period_ms);
   config.workload = ScenarioWorkload(cli);  // non-empty overrides the legacy knobs above
-  config.dma_buffer_kind = cli.MemoryKindValue();
   config.ring_priority = cli.ring_priority;
-  config.duration = Seconds(cli.duration_s);
-  config.seed = cli.seed;
-  config.faults = cli.faults;
   return config;
 }
 
 ServerConfig ServerConfigFrom(const ScenarioConfig& cli) {
-  ServerConfig config;
+  ServerConfig config = SharedConfig<ServerConfig>(cli);
   config.clients = static_cast<int>(cli.clients);
   config.packet_bytes = cli.packet_bytes;
   config.packet_period = Milliseconds(cli.period_ms);
   config.workload = ScenarioWorkload(cli);  // non-empty overrides the legacy knobs above
-  config.dma_buffer_kind = cli.MemoryKindValue();
-  config.duration = Seconds(cli.duration_s);
-  config.seed = cli.seed;
-  config.faults = cli.faults;
   return config;
 }
 
 RouterConfig RouterConfigFrom(const ScenarioConfig& cli) {
-  RouterConfig config;
+  RouterConfig config = SharedConfig<RouterConfig>(cli);
   config.packet_bytes = cli.packet_bytes;
   config.packet_period = Milliseconds(cli.period_ms);
   // The router carries one connection; a --mix gives it the first entry's class.
@@ -427,17 +506,13 @@ RouterConfig RouterConfigFrom(const ScenarioConfig& cli) {
       config.media_class = classes.front();
     }
   }
-  config.dma_buffer_kind = cli.MemoryKindValue();
   config.forward_via_mbufs = !cli.zero_copy;  // --zero-copy selects zero-copy forwarding
   config.chain_hops = cli.chain_hops;
-  config.duration = Seconds(cli.duration_s);
-  config.seed = cli.seed;
-  config.faults = cli.faults;
   return config;
 }
 
 FabricConfig FabricConfigFrom(const ScenarioConfig& cli) {
-  FabricConfig config;
+  FabricConfig config = SharedConfig<FabricConfig>(cli);
   config.rings = cli.rings;
   config.stations_per_ring = cli.stations_per_ring;
   config.topology =
@@ -447,24 +522,16 @@ FabricConfig FabricConfigFrom(const ScenarioConfig& cli) {
   config.packet_bytes = cli.packet_bytes;
   config.packet_period = Milliseconds(cli.period_ms);
   config.workload = ScenarioWorkload(cli);  // classes round-robin over the per-shard flows
-  config.dma_buffer_kind = cli.MemoryKindValue();
   config.journeys = cli.journeys;
-  config.duration = Seconds(cli.duration_s);
-  config.seed = cli.seed;
-  config.faults = cli.faults;
   return config;
 }
 
 MediaMixConfig MediaMixConfigFrom(const ScenarioConfig& cli) {
-  MediaMixConfig config;
+  MediaMixConfig config = SharedConfig<MediaMixConfig>(cli);
   config.workload = ScenarioWorkload(cli);  // empty = the experiment's moderate default mix
   config.quality_controller = cli.quality_controller;
   config.controller_epoch = Milliseconds(cli.controller_epoch_ms);
   config.ring_priority = cli.ring_priority;
-  config.dma_buffer_kind = cli.MemoryKindValue();
-  config.duration = Seconds(cli.duration_s);
-  config.seed = cli.seed;
-  config.faults = cli.faults;
   return config;
 }
 

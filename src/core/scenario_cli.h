@@ -28,13 +28,14 @@
 #include "src/fault/fault_plan.h"
 #include "src/proto/degradation.h"
 #include "src/proto/recovery.h"
+#include "src/workload/trace_replay.h"
 
 namespace ctms {
 
 struct ScenarioConfig {
   // --- experiment selection ------------------------------------------------------------
-  // The full spelling list lives in kExperiments (scenario_cli.cc) — the one table both
-  // --experiment and --cell-experiment validate against.
+  // The spellings are the rows of the experiment registry (experiment_registry.h), the one
+  // table both --experiment and --cell-experiment validate against.
   std::string experiment = "ctms";
   std::string scenario = "A";       // ctms: Test Case A or B preset
   bool tcp = false;                 // baseline: TCP-lite instead of UDP
@@ -74,7 +75,7 @@ struct ScenarioConfig {
 
   // --- faults and degradation ----------------------------------------------------------
   std::string faults_path;       // --faults=plan.json; empty = no plan
-  FaultPlan faults;              // the parsed plan (filled by the tool after validation)
+  FaultPlan faults;              // the parsed plan (filled by LoadScenarioFiles)
   std::string degradation = "drop";  // drop|block|retransmit
   int retry_budget = 3;
   int64_t retry_backoff_ms = 2;
@@ -108,7 +109,8 @@ struct ScenarioConfig {
   int histogram = 0;  // 0 = none, 1..7 = paper histogram number
   int64_t bin_us = 500;
   std::string csv_prefix;
-  std::string trace_path;  // background-traffic replay CSV
+  std::string trace_path;         // background-traffic replay CSV
+  std::vector<TraceEntry> trace;  // the parsed replay schedule (filled by LoadScenarioFiles)
   bool ground_truth_output = false;
   std::string metrics_json;
   std::string trace_json;
@@ -131,8 +133,8 @@ struct ScenarioConfig {
 
 // Sets the field registered under the flag/axis `name` (no leading "--"). Value flags take
 // the string verbatim or as a number; presence-style bool flags (tcp, zero-copy, ...) accept
-// 0/1/true/false. Returns false and fills *error for unknown names, empty mandatory values,
-// or malformed bool values.
+// 0/1/true/false. Returns false and fills *error for unknown names, empty values, or
+// malformed bool values.
 bool ApplyScenarioAxis(ScenarioConfig* config, const std::string& name,
                        const std::string& value, std::string* error);
 
@@ -141,9 +143,20 @@ bool ApplyScenarioAxis(ScenarioConfig* config, const std::string& name,
 bool ApplyScenarioPresenceFlag(ScenarioConfig* config, const std::string& name);
 
 // Post-parse validation shared by the tool and the campaign grid: enumerated string
-// spellings (experiment, scenario, memory, method, degradation) and numeric ranges.
-// Returns an empty string when the config is valid, else a one-line error.
+// spellings (experiment, scenario, memory, method, degradation), numeric ranges, and that
+// the selected experiment reads every flag set to a non-default value (a campaign reads its
+// own flags plus its cell experiment's, minus the output flags). Returns an empty string
+// when the config is valid, else a one-line error naming the flag.
 std::string ValidateScenarioConfig(const ScenarioConfig& config);
+
+// Loads the --faults plan into `faults` and the --trace schedule into `trace`. Returns ""
+// on success, else a one-line error.
+std::string LoadScenarioFiles(ScenarioConfig* config);
+
+// Every flag name (no leading "--"), in table order, and whether the table row of `flag`
+// names `experiment` among its readers.
+std::vector<std::string> ScenarioFlagNames();
+bool ScenarioFlagReadBy(const std::string& flag, const std::string& experiment);
 
 // Per-experiment converters. Each copies the fields its experiment understands and leaves
 // the rest of the experiment config at its own defaults.

@@ -1,10 +1,10 @@
 // SpanTracer: a structured timeline of the simulated system, exportable as Chrome
 // trace-event JSON (loadable in Perfetto / chrome://tracing).
 //
-// Unlike TraceLog (free-form strings for debugging), the tracer records typed tuples
-// (track, name, start, duration, args) keyed to SimTime. Tracks map to Chrome "threads":
-// one per CPU, per DMA engine, one for the ring, one per driver — so a packet's life from
-// VCA IRQ to rx-classify is visually inspectable as stacked spans.
+// The tracer records typed tuples (track, name, start, duration, args) keyed to SimTime.
+// Tracks map to Chrome "threads": one per CPU, per DMA engine, one for the ring, one per
+// driver — so a packet's life from VCA IRQ to rx-classify is visually inspectable as
+// stacked spans.
 //
 // Disabled by default; when disabled every record call returns after one branch. Recording
 // costs zero *simulated* time and reads only SimTime values passed by the caller, so

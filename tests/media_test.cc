@@ -112,6 +112,7 @@ TEST(MediaClassTest, ResolveWorkloadExpandsCountsAndFoldsRates) {
 
 TEST(MediaClassTest, ScenarioCliValidatesAndThreadsTheMix) {
   ScenarioConfig cli;
+  cli.experiment = "mediamix";  // the default ctms experiment does not read --mix
   cli.mix = "voice:2,bulk:1";
   EXPECT_EQ(ValidateScenarioConfig(cli), "");
   const MultiStreamConfig multi = MultiStreamConfigFrom(cli);

@@ -9,7 +9,6 @@
 #include "src/sim/rng.h"
 #include "src/sim/simulation.h"
 #include "src/sim/time.h"
-#include "src/sim/trace_log.h"
 
 namespace ctms {
 namespace {
@@ -439,52 +438,6 @@ TEST(SimulationTest, PeriodicCancelFromInsideAction) {
   });
   sim.RunUntil(Seconds(1));
   EXPECT_EQ(fired, 3);
-}
-
-TEST(TraceLogTest, DisabledByDefault) {
-  TraceLog log;
-  log.Append(1, "a", "b");
-  EXPECT_TRUE(log.records().empty());
-}
-
-TEST(TraceLogTest, RecordsAndFilters) {
-  TraceLog log;
-  log.set_enabled(true);
-  log.Append(1, "tx", "one");
-  log.Append(2, "rx", "two");
-  log.Append(3, "tx", "three");
-  EXPECT_EQ(log.records().size(), 3u);
-  EXPECT_EQ(log.WithCategory("tx").size(), 2u);
-  EXPECT_NE(log.Dump().find("two"), std::string::npos);
-}
-
-TEST(TraceLogTest, CapacityEviction) {
-  TraceLog log;
-  log.set_enabled(true);
-  log.set_capacity(10);
-  for (int i = 0; i < 25; ++i) {
-    log.Append(i, "c", "m");
-  }
-  EXPECT_LE(log.records().size(), 10u);
-  EXPECT_GT(log.dropped(), 0u);
-}
-
-TEST(TraceLogTest, DumpReportsDroppedRecords) {
-  TraceLog log;
-  log.set_enabled(true);
-  log.set_capacity(4);
-  for (int i = 0; i < 10; ++i) {
-    log.Append(i, "c", "m" + std::to_string(i));
-  }
-  ASSERT_GT(log.dropped(), 0u);
-  const std::string dump = log.Dump();
-  // The header announces the truncation so a capped log can't pass for a complete one.
-  EXPECT_EQ(dump.rfind("[" + std::to_string(log.dropped()) + " oldest records dropped", 0),
-            0u);
-
-  log.Clear();
-  log.Append(1, "c", "fresh");
-  EXPECT_EQ(log.Dump().find("dropped"), std::string::npos);
 }
 
 }  // namespace

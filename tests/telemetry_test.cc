@@ -1,14 +1,21 @@
 // Telemetry subsystem: registry semantics, tracer capacity, JSON exporter structure and
 // escaping, and the end-to-end acceptance run — a short Test Case B with the tracer on must
 // yield counters in every layer namespace, CPU-step and ring-frame spans, valid JSON for
-// both artifacts, and byte-identical output across two same-seed runs.
+// both artifacts, and byte-identical output across two same-seed runs. Last, every row of
+// the experiment registry must export through the shared output step and refuse the flags
+// it does not read.
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
+#include <map>
+#include <sstream>
 #include <string>
 
+#include "src/campaign/campaign.h"
 #include "src/core/ctms.h"
+#include "src/core/experiment_registry.h"
 #include "src/telemetry/json_export.h"
 #include "src/telemetry/metrics.h"
 #include "src/telemetry/span_tracer.h"
@@ -492,6 +499,153 @@ TEST(TelemetryAcceptanceTest, SameSeedRunsAreByteIdentical) {
   run(&metrics_b, &trace_b);
   EXPECT_EQ(metrics_a, metrics_b);
   EXPECT_EQ(trace_a, trace_b);
+}
+
+// --- experiment registry ------------------------------------------------------------------
+
+// A non-default value for every flag, each valid on its own.
+const std::map<std::string, std::string>& NonDefaultFlagValues() {
+  static const std::map<std::string, std::string> values = {
+      {"scenario", "B"},
+      {"duration", "2"},
+      {"seed", "2"},
+      {"packet-bytes", "1000"},
+      {"period-ms", "10"},
+      {"streams", "3"},
+      {"clients", "3"},
+      {"chain-hops", "2"},
+      {"mix", "voice:1"},
+      {"controller-epoch-ms", "50"},
+      {"rings", "2"},
+      {"stations-per-ring", "4"},
+      {"fabric-topology", "chain"},
+      {"link-latency-us", "250"},
+      {"memory", "system"},
+      {"method", "truth"},
+      {"ring-priority", "5"},
+      {"insertions", "5"},
+      {"faults", "plan.json"},
+      {"degradation", "block"},
+      {"retry-budget", "2"},
+      {"retry-backoff-ms", "3"},
+      {"recovery", "fec"},
+      {"fec-group", "4"},
+      {"nack-delay-us", "250"},
+      {"sweep-levels", "3"},
+      {"sweep-purges", "10"},
+      {"sweep-spacing-ms", "5"},
+      {"jobs", "2"},
+      {"grid", "seed=1,2"},
+      {"cell-experiment", "baseline"},
+      {"histogram", "7"},
+      {"bin-us", "250"},
+      {"csv-prefix", "prefix"},
+      {"trace", "trace.csv"},
+      {"metrics-json", "m.json"},
+      {"trace-json", "t.json"},
+      {"flight-recorder", "32"},
+      {"journey-json", "j.json"},
+      {"tcp", "1"},
+      {"no-driver-priority", "1"},
+      {"driver-priority", "0"},
+      {"zero-copy", "1"},
+      {"retransmit", "1"},
+      {"ground-truth", "1"},
+      {"print-metrics", "1"},
+      {"independent-faults", "1"},
+      {"quality-controller", "1"},
+      {"no-quality-controller", "0"},
+      {"journeys", "1"},
+      {"stage-histograms", "1"},
+  };
+  return values;
+}
+
+double StatNamed(const RunSummaryInfo& info, const std::string& name) {
+  for (const auto& [stat, value] : info.stats) {
+    if (stat == name) {
+      return value;
+    }
+  }
+  ADD_FAILURE() << "no stat " << name;
+  return -1.0;
+}
+
+TEST(ExperimentRegistryTest, EveryRowExportsRefusesUnreadFlagsAndCellsReplayTraces) {
+  // 1. A 1-s run of every row through the output step writes --metrics-json as an object.
+  for (const ExperimentEntry& entry : Experiments()) {
+    ScenarioConfig config;
+    config.experiment = entry.name;
+    config.duration_s = 1;
+    config.metrics_json = ::testing::TempDir() + "registry_" + entry.name + ".json";
+    if (entry.run == nullptr) {
+      config.grid_spec = "seed=1,2";
+    }
+    ASSERT_EQ(ValidateScenarioConfig(config), "") << entry.name;
+    const ExperimentRunFn run = entry.run != nullptr ? entry.run : RunCampaign;
+    EXPECT_TRUE(run(config, /*output=*/true).ok) << entry.name;
+    std::ifstream in(config.metrics_json);
+    std::stringstream text;
+    text << in.rdbuf();
+    EXPECT_TRUE(IsValidJson(text.str())) << entry.name;
+    EXPECT_EQ(text.str().rfind('{', 0), 0u) << entry.name;
+    std::remove(config.metrics_json.c_str());
+  }
+
+  // 2. Every flag whose table row does not name the experiment (or, for a campaign, its
+  // ctms cells) is refused at a non-default value, by name.
+  for (const ExperimentEntry& entry : Experiments()) {
+    const bool campaign = entry.run == nullptr;
+    for (const std::string& flag : ScenarioFlagNames()) {
+      if (flag == "experiment") {
+        continue;  // the selector itself
+      }
+      ASSERT_EQ(NonDefaultFlagValues().count(flag), 1u) << "no sample value for --" << flag;
+      ScenarioConfig config;
+      config.experiment = entry.name;
+      std::string error;
+      ASSERT_TRUE(ApplyScenarioAxis(&config, flag, NonDefaultFlagValues().at(flag), &error))
+          << error;
+      const std::string verdict = ValidateScenarioConfig(config);
+      if (ScenarioFlagReadBy(flag, entry.name)) {
+        EXPECT_EQ(verdict, "") << entry.name << " --" << flag;
+      } else if (!campaign || !ScenarioFlagReadBy(flag, "ctms")) {
+        // A --no-x spelling may be reported as its --x twin.
+        const std::string stem = flag.rfind("no-", 0) == 0 ? flag.substr(3) : flag;
+        EXPECT_NE(verdict.find(stem), std::string::npos) << entry.name << ": " << verdict;
+        EXPECT_NE(verdict.find(entry.name), std::string::npos) << verdict;
+      }
+    }
+  }
+  // A campaign takes its cells' flags, but never their output flags.
+  for (const std::string flag : {"histogram", "trace-json", "print-metrics", "journey-json"}) {
+    ScenarioConfig config;
+    config.experiment = "campaign";
+    ASSERT_TRUE(ApplyScenarioAxis(&config, flag, NonDefaultFlagValues().at(flag), nullptr));
+    EXPECT_NE(ValidateScenarioConfig(config).find("--" + flag), std::string::npos) << flag;
+  }
+
+  // 3. A ctms campaign cell replays --trace exactly as the same run alone does.
+  ScenarioConfig alone;
+  alone.duration_s = 1;
+  alone.trace_path = std::string(CTMS_TESTS_DATA_DIR) + "/campus_trace.csv";
+  ASSERT_EQ(LoadScenarioFiles(&alone), "");
+  const ExperimentRun solo = FindExperiment("ctms")->run(alone, /*output=*/false);
+  ScenarioConfig campaign = alone;
+  campaign.experiment = "campaign";
+  std::string error;
+  auto grid = CampaignGrid::Parse("seed=1", &error);
+  ASSERT_TRUE(grid.has_value()) << error;
+  CampaignRunner runner(campaign, std::move(*grid), CampaignRunner::Options{});
+  ASSERT_EQ(runner.Prepare(), "");
+  const CampaignReport report = runner.Run();
+  ASSERT_EQ(report.runs.size(), 1u);
+  EXPECT_EQ(StatNamed(report.runs[0].info, "ring_utilization"),
+            StatNamed(solo.info, "ring_utilization"));
+  ScenarioConfig quiet;
+  quiet.duration_s = 1;
+  EXPECT_NE(StatNamed(FindExperiment("ctms")->run(quiet, false).info, "ring_utilization"),
+            StatNamed(solo.info, "ring_utilization"));
 }
 
 }  // namespace

@@ -17,24 +17,18 @@
 // Prints the experiment summary, optionally an ASCII histogram, and optionally exports all
 // seven paper histograms as CSV.
 //
-// Every flag is applied through the shared tables in src/core/scenario_cli.h, and the
-// per-experiment config structs are built from the resulting ScenarioConfig by the
-// converters there — so the campaign grid (`--grid=seed=1:4;streams=1,2`) can sweep any
-// flag this tool accepts, by the same name.
+// Every flag is applied through the shared tables in src/core/scenario_cli.h — so the
+// campaign grid (`--grid=seed=1:4;streams=1,2`) can sweep any flag this tool accepts, by
+// the same name — and the selected experiment runs through its row of the experiment
+// registry (src/core/experiment_registry.h), the same dispatch the campaign cells use.
 
-#include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <iostream>
-#include <memory>
 #include <string>
 
 #include "src/campaign/campaign.h"
-#include "src/core/ctms.h"
-#include "src/core/report_stats.h"
-#include "src/measure/export.h"
-#include "src/telemetry/journey.h"
-#include "src/telemetry/json_export.h"
+#include "src/core/experiment_registry.h"
+#include "src/core/scenario_cli.h"
 
 namespace {
 
@@ -43,11 +37,11 @@ using namespace ctms;
 void PrintUsage() {
   std::printf(
       "ctms_sim — reproduce the USENIX'91 CTMS experiments\n\n"
+      "A flag the selected experiment does not read is an error, not a no-op.\n\n"
       "experiment selection:\n"
       "  --experiment=NAME     ctms (default), baseline, multistream, server, router,\n"
       "                        faultsweep, fabric, mediamix, or campaign\n"
       "  --scenario=A|B        Test Case A (private quiet ring) or B (loaded public ring)\n"
-      "  --baseline            shorthand for --experiment=baseline\n"
       "  --tcp                 baseline uses TCP-lite instead of UDP\n"
       "  --streams=N           multistream: concurrent CTMSP connections (default 2);\n"
       "                        deprecated alias — prefer --mix\n"
@@ -94,7 +88,7 @@ void PrintUsage() {
       "  --fec-group=N         fec/hybrid: data packets per parity packet, 1..32 (default 8)\n"
       "  --nack-delay-us=N     resend/hybrid: gap confirmation before the first NACK\n"
       "                        (default 500)\n"
-      "  --sweep-levels=N      faultsweep: purge-storm intensity levels (default 4)\n"
+      "  --sweep-levels=N      faultsweep: purge-storm intensity levels, 2..16 (default 4)\n"
       "  --sweep-purges=N      faultsweep: purges per storm (default 25)\n"
       "  --sweep-spacing-ms=N  faultsweep: spacing between purges in a storm (default 4)\n"
       "  --jobs=N              faultsweep: cell worker threads; the report is\n"
@@ -117,7 +111,7 @@ void PrintUsage() {
       "                        (campaign: the merged aggregate + per-run document)\n"
       "  --trace-json=FILE     write a Chrome trace-event JSON (Perfetto-loadable)\n"
       "  --print-metrics       print every telemetry counter after the run\n\n"
-      "packet journeys (ctms experiment; sweepable like every other flag):\n"
+      "packet journeys (ctms; fabric and campaign cells count --journeys in metrics):\n"
       "  --journeys            per-packet lifecycle recording with a per-stage latency\n"
       "                        breakdown (source IRQ to delivery) in the run summary\n"
       "  --flight-recorder=N   finished journeys retained for post-mortems (default 64)\n"
@@ -135,14 +129,6 @@ void PrintUsage() {
 bool ParseOptions(int argc, char** argv, ScenarioConfig* options) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--help" || arg == "-h") {
-      PrintUsage();
-      return false;
-    }
-    if (arg == "--baseline") {  // legacy spelling of --experiment=baseline
-      options->experiment = "baseline";
-      continue;
-    }
     if (arg.rfind("--", 0) != 0) {
       std::fprintf(stderr, "unknown argument: %s (try --help)\n", arg.c_str());
       return false;
@@ -161,339 +147,15 @@ bool ParseOptions(int argc, char** argv, ScenarioConfig* options) {
       return false;
     }
   }
-  const std::string error = ValidateScenarioConfig(*options);
+  std::string error = ValidateScenarioConfig(*options);
+  if (error.empty()) {
+    error = LoadScenarioFiles(options);
+  }
   if (!error.empty()) {
     std::fprintf(stderr, "%s (try --help)\n", error.c_str());
     return false;
   }
-  if (!options->faults_path.empty()) {
-    std::string load_error;
-    auto plan = FaultPlan::LoadFile(options->faults_path, &load_error);
-    if (!plan.has_value()) {
-      std::fprintf(stderr, "bad fault plan %s: %s (try --help)\n",
-                   options->faults_path.c_str(), load_error.c_str());
-      return false;
-    }
-    options->faults = std::move(*plan);
-  }
   return true;
-}
-
-// ---------------------------------------------------------------------------------------
-
-// Post-run telemetry output shared by all experiment front ends. Returns false if a
-// requested file could not be written.
-bool EmitTelemetry(const ScenarioConfig& options, Simulation& sim, const RunSummaryInfo& info) {
-  bool ok = true;
-  JourneyRecorder& journeys = sim.telemetry().journeys;
-  if (journeys.enabled()) {
-    std::cout << "\n" << journeys.StageBreakdown();
-    if (journeys.anomaly_fired()) {
-      // An anomaly arms the automatic post-mortem: spans onto the trace (before it is
-      // written below) and a JSON dump even when no --journey-json path was given.
-      journeys.DumpToTracer();
-    }
-    const std::string journey_path = !options.journey_json.empty()
-                                         ? options.journey_json
-                                         : journeys.anomaly_fired() ? "flight_recorder.json"
-                                                                    : "";
-    if (!journey_path.empty()) {
-      if (WriteJourneyJson(journeys, journey_path)) {
-        std::printf("wrote %s\n", journey_path.c_str());
-      } else {
-        std::fprintf(stderr, "cannot write %s\n", journey_path.c_str());
-        ok = false;
-      }
-    }
-  }
-  if (options.print_metrics) {
-    std::printf("telemetry counters:\n");
-    for (const auto& [name, counter] : sim.telemetry().metrics.counters()) {
-      std::printf("  %-48s %llu\n", name.c_str(),
-                  static_cast<unsigned long long>(counter.value()));
-    }
-  }
-  if (!options.trace_json.empty()) {
-    if (WriteChromeTraceJson(sim.telemetry().tracer, options.trace_json)) {
-      std::printf("wrote %s\n", options.trace_json.c_str());
-    } else {
-      std::fprintf(stderr, "cannot write %s\n", options.trace_json.c_str());
-      ok = false;
-    }
-  }
-  if (!options.metrics_json.empty()) {
-    if (WriteRunSummaryJson(sim.telemetry().metrics, info, options.metrics_json)) {
-      std::printf("wrote %s\n", options.metrics_json.c_str());
-    } else {
-      std::fprintf(stderr, "cannot write %s\n", options.metrics_json.c_str());
-      ok = false;
-    }
-  }
-  return ok;
-}
-
-RunSummaryInfo MakeInfo(const ScenarioConfig& options, std::string scenario) {
-  RunSummaryInfo info;
-  info.scenario = std::move(scenario);
-  info.duration_s = static_cast<double>(options.duration_s);
-  info.seed = options.seed;
-  return info;
-}
-
-// Appends the injector's FaultReport to the run summary when the run had one.
-void AttachFaultReport(RunSummaryInfo* info, RingTopology& topology) {
-  if (const FaultInjector* injector = topology.fault_injector()) {
-    info->fault = injector->report().Stats();
-  }
-}
-
-const Histogram* SelectHistogram(const PaperHistograms& histograms, int number) {
-  switch (number) {
-    case 1:
-      return &histograms.inter_irq;
-    case 2:
-      return &histograms.inter_handler;
-    case 3:
-      return &histograms.inter_pre_tx;
-    case 4:
-      return &histograms.inter_rx;
-    case 5:
-      return &histograms.irq_to_handler;
-    case 6:
-      return &histograms.handler_to_pre_tx;
-    case 7:
-      return &histograms.pre_tx_to_rx;
-    default:
-      return nullptr;
-  }
-}
-
-int RunBaseline(const ScenarioConfig& options) {
-  BaselineExperiment experiment(BaselineConfigFrom(options));
-  if (!options.trace_json.empty()) {
-    experiment.sim().telemetry().tracer.set_enabled(true);
-  }
-  const BaselineReport report = experiment.Run();
-  std::cout << report.Summary();
-  if (!options.csv_prefix.empty()) {
-    WriteSamplesCsv(report.end_to_end_latency, options.csv_prefix + "_latency.csv");
-    std::printf("wrote %s_latency.csv\n", options.csv_prefix.c_str());
-  }
-  RunSummaryInfo info = MakeInfo(options, options.tcp ? "baseline-tcp" : "baseline-udp");
-  info.stats = SummaryStats(report);
-  AttachFaultReport(&info, experiment.topology());
-  if (!EmitTelemetry(options, experiment.sim(), info)) {
-    return 1;
-  }
-  return report.Sustained() ? 0 : 2;
-}
-
-int RunMultiStream(const ScenarioConfig& options) {
-  MultiStreamExperiment experiment(MultiStreamConfigFrom(options));
-  if (!options.trace_json.empty()) {
-    experiment.sim().telemetry().tracer.set_enabled(true);
-  }
-  const MultiStreamReport report = experiment.Run();
-  std::cout << report.Summary();
-  RunSummaryInfo info = MakeInfo(options, "multistream");
-  info.stats = SummaryStats(report);
-  AttachFaultReport(&info, experiment.topology());
-  if (!EmitTelemetry(options, experiment.sim(), info)) {
-    return 1;
-  }
-  return report.AllSustained() ? 0 : 2;
-}
-
-int RunServer(const ScenarioConfig& options) {
-  ServerExperiment experiment(ServerConfigFrom(options));
-  if (!options.trace_json.empty()) {
-    experiment.sim().telemetry().tracer.set_enabled(true);
-  }
-  const ServerReport report = experiment.Run();
-  std::cout << report.Summary();
-  RunSummaryInfo info = MakeInfo(options, "server");
-  info.stats = SummaryStats(report);
-  AttachFaultReport(&info, experiment.topology());
-  if (!EmitTelemetry(options, experiment.sim(), info)) {
-    return 1;
-  }
-  return report.AllSustained() ? 0 : 2;
-}
-
-int RunRouter(const ScenarioConfig& options) {
-  RouterExperiment experiment(RouterConfigFrom(options));
-  if (!options.trace_json.empty()) {
-    experiment.sim().telemetry().tracer.set_enabled(true);
-  }
-  const RouterReport report = experiment.Run();
-  std::cout << report.Summary();
-  RunSummaryInfo info =
-      MakeInfo(options, options.zero_copy ? "router-zero-copy" : "router-mbuf");
-  info.stats = SummaryStats(report);
-  AttachFaultReport(&info, experiment.topology());
-  if (!EmitTelemetry(options, experiment.sim(), info)) {
-    return 1;
-  }
-  return report.KeepsUp() ? 0 : 2;
-}
-
-int RunMediaMix(const ScenarioConfig& options) {
-  MediaMixExperiment experiment(MediaMixConfigFrom(options));
-  if (!options.trace_json.empty()) {
-    experiment.sim().telemetry().tracer.set_enabled(true);
-  }
-  const MediaMixReport report = experiment.Run();
-  std::cout << report.Summary();
-  RunSummaryInfo info = MakeInfo(
-      options, options.quality_controller ? "mediamix-controller" : "mediamix-fifo");
-  info.stats = SummaryStats(report);
-  AttachFaultReport(&info, experiment.topology());
-  if (!EmitTelemetry(options, experiment.sim(), info)) {
-    return 1;
-  }
-  return report.Healthy() ? 0 : 2;
-}
-
-int RunFaultSweep(const ScenarioConfig& options) {
-  FaultSweepExperiment experiment(FaultSweepConfigFrom(options));
-  const FaultSweepReport report = experiment.Run();
-  std::cout << report.Summary();
-  if (!options.metrics_json.empty()) {
-    // The sweep runs many independent simulations, so there is no single registry to dump;
-    // emit the degradation curve itself as the stats block instead.
-    RunSummaryInfo info = MakeInfo(options, "faultsweep");
-    info.stats = SummaryStats(report);
-    MetricsRegistry empty;
-    if (WriteRunSummaryJson(empty, info, options.metrics_json)) {
-      std::printf("wrote %s\n", options.metrics_json.c_str());
-    } else {
-      std::fprintf(stderr, "cannot write %s\n", options.metrics_json.c_str());
-      return 1;
-    }
-  }
-  const auto& recoveries = report.config.recoveries;
-  const bool has_none = std::find(recoveries.begin(), recoveries.end(),
-                                  RecoveryMode::kNone) != recoveries.end();
-  bool healthy = !has_none || report.RetransmitBeatsDrop();
-  for (DegradationMode policy : report.config.policies) {
-    for (RecoveryMode recovery : recoveries) {
-      healthy = healthy && report.MonotoneNonIncreasing(policy, recovery);
-    }
-  }
-  return healthy ? 0 : 2;
-}
-
-int RunFabric(const ScenarioConfig& options) {
-  FabricExperiment experiment(FabricConfigFrom(options));
-  const FabricReport report = experiment.Run();
-  std::cout << report.Summary();
-  RunSummaryInfo info = MakeInfo(options, "fabric");
-  info.stats = SummaryStats(report);
-  if (!options.faults.events().empty()) {
-    AttachFaultReport(&info,
-                      experiment.shard(static_cast<size_t>(report.config.fault_shard)));
-  }
-  // A fabric is many simulations, so the single-sim EmitTelemetry path does not apply;
-  // merge every shard's registry under "shard<i>." and export that one document.
-  MetricsRegistry merged;
-  experiment.MergeMetricsInto(&merged);
-  if (options.print_metrics) {
-    std::printf("telemetry counters:\n");
-    for (const auto& [name, counter] : merged.counters()) {
-      std::printf("  %-48s %llu\n", name.c_str(),
-                  static_cast<unsigned long long>(counter.value()));
-    }
-  }
-  if (!options.metrics_json.empty()) {
-    if (WriteRunSummaryJson(merged, info, options.metrics_json)) {
-      std::printf("wrote %s\n", options.metrics_json.c_str());
-    } else {
-      std::fprintf(stderr, "cannot write %s\n", options.metrics_json.c_str());
-      return 1;
-    }
-  }
-  return report.Healthy() ? 0 : 2;
-}
-
-int RunCampaign(const ScenarioConfig& options) {
-  std::string error;
-  auto grid = CampaignGrid::Parse(options.grid_spec, &error);
-  if (!grid.has_value()) {
-    std::fprintf(stderr, "bad --grid: %s (try --help)\n", error.c_str());
-    return 1;
-  }
-  CampaignRunner::Options runner_options;
-  runner_options.jobs = options.jobs;
-  runner_options.independent_faults = options.independent_faults;
-  CampaignRunner runner(options, std::move(*grid), std::move(runner_options));
-  error = runner.Prepare();
-  if (!error.empty()) {
-    std::fprintf(stderr, "bad campaign: %s (try --help)\n", error.c_str());
-    return 1;
-  }
-  const CampaignReport report = runner.Run();
-  std::cout << report.Summary();
-  if (!options.metrics_json.empty()) {
-    if (report.WriteMergedJson(options.metrics_json)) {
-      std::printf("wrote %s\n", options.metrics_json.c_str());
-    } else {
-      std::fprintf(stderr, "cannot write %s\n", options.metrics_json.c_str());
-      return 1;
-    }
-  }
-  return report.AllHealthy() ? 0 : 2;
-}
-
-int RunCtms(const ScenarioConfig& options) {
-  CtmsConfig config = CtmsConfigFrom(options);
-
-  CtmsExperiment experiment(config);
-  if (!options.trace_json.empty()) {
-    experiment.sim().telemetry().tracer.set_enabled(true);
-  }
-  std::unique_ptr<TraceReplayTraffic> trace;
-  if (!options.trace_path.empty()) {
-    int error_line = 0;
-    auto entries = TraceReplayTraffic::LoadCsv(options.trace_path, &error_line);
-    if (!entries.has_value()) {
-      std::fprintf(stderr, "bad trace file %s (line %d)\n", options.trace_path.c_str(),
-                   error_line);
-      return 1;
-    }
-    trace = std::make_unique<TraceReplayTraffic>(&experiment.ring(), std::move(*entries));
-    SimDuration span = 0;
-    for (const TraceEntry& entry : trace->trace()) {
-      span = std::max(span, entry.offset);
-    }
-    trace->Start(/*loop=*/true, span + Milliseconds(50));
-  }
-  const ExperimentReport report = experiment.Run();
-  std::cout << report.Summary();
-  if (trace != nullptr) {
-    std::printf("replayed %llu background frames from %s\n",
-                static_cast<unsigned long long>(trace->frames_sent()),
-                options.trace_path.c_str());
-  }
-
-  const PaperHistograms& source =
-      options.ground_truth_output ? report.ground_truth : report.measured;
-  if (options.histogram != 0) {
-    const Histogram* histogram = SelectHistogram(source, options.histogram);
-    std::cout << "\n" << histogram->SummaryLine() << "\n";
-    std::cout << histogram->RenderAscii(Microseconds(options.bin_us));
-  }
-  if (!options.csv_prefix.empty()) {
-    const int written = WritePaperHistogramsCsv(source, options.csv_prefix);
-    std::printf("wrote %d CSV files with prefix %s\n", written, options.csv_prefix.c_str());
-  }
-  RunSummaryInfo info = MakeInfo(options, config.name);
-  info.stats = SummaryStats(report);
-  AttachFaultReport(&info, experiment.topology());
-  if (!EmitTelemetry(options, experiment.sim(), info)) {
-    return 1;
-  }
-  const bool healthy = report.packets_lost == 0 && report.sink_underruns == 0;
-  return healthy ? 0 : 2;
 }
 
 }  // namespace
@@ -509,29 +171,10 @@ int main(int argc, char** argv) {
   if (!ParseOptions(argc, argv, &options)) {
     return 1;
   }
-  if (options.experiment == "baseline") {
-    return RunBaseline(options);
-  }
-  if (options.experiment == "multistream") {
-    return RunMultiStream(options);
-  }
-  if (options.experiment == "server") {
-    return RunServer(options);
-  }
-  if (options.experiment == "router") {
-    return RunRouter(options);
-  }
-  if (options.experiment == "mediamix") {
-    return RunMediaMix(options);
-  }
-  if (options.experiment == "faultsweep") {
-    return RunFaultSweep(options);
-  }
-  if (options.experiment == "fabric") {
-    return RunFabric(options);
-  }
-  if (options.experiment == "campaign") {
-    return RunCampaign(options);
-  }
-  return RunCtms(options);
+  // The campaign's run function sits above the registry (src/campaign).
+  const ExperimentRunFn run = options.experiment == "campaign"
+                                  ? RunCampaign
+                                  : FindExperiment(options.experiment)->run;
+  const ExperimentRun result = run(options, /*output=*/true);
+  return !result.ok ? 1 : result.healthy ? 0 : 2;
 }
