@@ -246,6 +246,8 @@ const RangeCheck kRangeChecks[] = {
      "--nack-delay-us must be non-negative"},
     {"jobs", &ScenarioConfig::jobs, 1, 64, nullptr},
     {"chain-hops", &ScenarioConfig::chain_hops, 1, 8, nullptr},
+    {"ring-priority", &ScenarioConfig::ring_priority, 0, 7,
+     "--ring-priority must be between 0 and 7 (802.5 has eight access priorities)"},
     {"rings", &ScenarioConfig::rings, 1, 64, nullptr},
     {"stations-per-ring", &ScenarioConfig::stations_per_ring, 2, 4096, nullptr},
     {"link-latency-us", &ScenarioConfig::link_latency_us, 1, INT64_MAX,

@@ -85,14 +85,12 @@ void MediaServerSource::OnTick() {
   // Send-timer handler: build the packet and copy the staged kernel data into mbufs, then
   // hand it driver-to-driver (the paper's transfer model, with the disk as the source
   // device).
-  Cpu::Job job;
-  job.name = "server-tick";
-  job.level = Spl::kImp;
-  job.steps.push_back(Cpu::Step{config_.tick_cost, nullptr, Spl::kImp});
-  UnixKernel::AppendSteps(&job.steps,
-                          kernel_->CopySteps(config_.packet_bytes, MemoryKind::kSystemMemory,
-                                             MemoryKind::kSystemMemory, Spl::kImp));
-  job.steps.push_back(Cpu::Step{
+  Cpu& cpu = kernel_->machine()->cpu();
+  Cpu::Job job = cpu.NewJob("server-tick", Spl::kImp);
+  job.AddStep(config_.tick_cost, nullptr, Spl::kImp);
+  kernel_->CopySteps(&job, config_.packet_bytes, MemoryKind::kSystemMemory,
+                     MemoryKind::kSystemMemory, Spl::kImp);
+  job.AddStep(
       0,
       [this, seq, tick_at = kernel_->sim()->Now()]() {
         // Journey birth for the server path: anchored to the send-timer tick, the server's
@@ -125,8 +123,8 @@ void MediaServerSource::OnTick() {
           queue_drops_counter_->Increment();
         }
       },
-      Spl::kImp});
-  kernel_->machine()->cpu().SubmitInterrupt(std::move(job));
+      Spl::kImp);
+  cpu.SubmitInterrupt(std::move(job));
   Pump();
 }
 

@@ -4,6 +4,10 @@
 
 namespace ctms {
 
+// The transmit command's closure (`this`, a Packet and two scalars) is the largest one the
+// per-packet path builds; it must stay in a step action's inline storage.
+static_assert(sizeof(void*) + sizeof(Packet) + 8 <= Cpu::kActionBytes);
+
 TokenRingDriver::TokenRingDriver(UnixKernel* kernel, TokenRingAdapter* adapter, ProbeBus* probes,
                                  Config config)
     : kernel_(kernel),
@@ -121,35 +125,30 @@ void TokenRingDriver::StartNextTx() {
 
 void TokenRingDriver::TransmitPacket(Packet packet, bool is_ctmsp) {
   const MemoryKind buffer_kind = adapter_->config().dma_buffer_kind;
-  Cpu::Job job;
-  job.name = "tr-start";
-  job.level = Spl::kImp;
-  job.steps.push_back(Cpu::Step{config_.tx_start_overhead, nullptr, Spl::kImp});
+  Cpu& cpu = kernel_->machine()->cpu();
+  Cpu::Job job = cpu.NewJob("tr-start", Spl::kImp);
+  job.AddStep(config_.tx_start_overhead, nullptr, Spl::kImp);
   if (config_.ctms_mode && config_.zero_copy_tx && is_ctmsp) {
     // Pointer passing (section 2's proposed further step): swing the adapter's transmit
     // descriptor onto the mbuf cluster. No bytes move through the CPU.
-    job.steps.push_back(Cpu::Step{config_.zero_copy_flip_cost, nullptr, Spl::kImp});
+    job.AddStep(config_.zero_copy_flip_cost, nullptr, Spl::kImp);
   } else {
     // Copy the mbuf chain into the fixed transmit DMA buffer. The chain reference held by
     // the job is dropped when the job completes — the data lives in the buffer from here on.
-    UnixKernel::AppendSteps(&job.steps,
-                            kernel_->CopySteps(packet.bytes, MemoryKind::kSystemMemory,
-                                               buffer_kind, Spl::kImp));
+    kernel_->CopySteps(&job, packet.bytes, MemoryKind::kSystemMemory, buffer_kind, Spl::kImp);
   }
   // Measurement point 3: after the copy, immediately before the transmit command. The
   // in-line recording code (a port write, a procedure call) costs real time here.
   if (is_ctmsp) {
     const uint32_t seq = packet.seq;
-    job.steps.push_back(Cpu::Step{probes_->inline_cost(),
-                                  [this, seq]() {
-                                    probes_->Emit(ProbePoint::kPreTransmit, seq,
-                                                  kernel_->sim()->Now());
-                                  },
-                                  Spl::kImp});
+    job.AddStep(
+        probes_->inline_cost(),
+        [this, seq]() { probes_->Emit(ProbePoint::kPreTransmit, seq, kernel_->sim()->Now()); },
+        Spl::kImp);
   }
   const int priority =
       is_ctmsp && config_.ctms_mode ? config_.ctmsp_ring_priority : 0;
-  job.steps.push_back(Cpu::Step{
+  job.AddStep(
       config_.tx_command_cost,
       [this, packet, is_ctmsp, priority]() {
         kernel_->sim()->telemetry().journeys.Stamp(packet.journey,
@@ -187,8 +186,8 @@ void TokenRingDriver::TransmitPacket(Packet packet, bool is_ctmsp) {
         }
         adapter_->IssueTransmit(std::move(frame), [this](TxStatus s) { OnTxComplete(s); });
       },
-      Spl::kImp});
-  kernel_->machine()->cpu().SubmitInterrupt(std::move(job));
+      Spl::kImp);
+  cpu.SubmitInterrupt(std::move(job));
 }
 
 void TokenRingDriver::OnTxComplete(TxStatus status) {
@@ -215,86 +214,79 @@ void TokenRingDriver::OnRxDmaComplete(const Frame& frame) {
                                              kernel_->sim()->Now());
 
   const MemoryKind buffer_kind = adapter_->config().dma_buffer_kind;
-  Cpu::Job job;
-  job.name = "tr-rx";
-  job.level = Spl::kImp;
-  job.steps.push_back(Cpu::Step{config_.rx_entry_cost, nullptr, Spl::kImp});
+  Cpu& cpu = kernel_->machine()->cpu();
+  Cpu::Job job = cpu.NewJob("tr-rx", Spl::kImp);
+  job.AddStep(config_.rx_entry_cost, nullptr, Spl::kImp);
 
   if (frame.protocol == ProtocolId::kCtmsp && config_.ctms_mode) {
     // The split point peels CTMSP off first; measurement point 4 fires the instant the
     // packet is known to be CTMSP.
-    job.steps.push_back(Cpu::Step{config_.classify_cost + probes_->inline_cost(),
-                                  [this, packet]() {
-                                    ++rx_ctmsp_;
-                                    rx_ctmsp_counter_->Increment();
-                                    kernel_->sim()->telemetry().journeys.Stamp(
-                                        packet.journey, JourneyStage::kRxClassify,
-                                        kernel_->sim()->Now());
-                                    SpanTracer& tracer = kernel_->sim()->telemetry().tracer;
-                                    if (tracer.enabled()) {
-                                      tracer.AddInstant(
-                                          track_, "ctmsp_rx_classified", kernel_->sim()->Now(),
-                                          {{"seq", static_cast<int64_t>(packet.seq)}});
-                                    }
-                                    probes_->Emit(ProbePoint::kRxClassified, packet.seq,
-                                                  kernel_->sim()->Now());
-                                  },
-                                  Spl::kImp});
+    job.AddStep(config_.classify_cost + probes_->inline_cost(),
+                [this, packet]() {
+                  ++rx_ctmsp_;
+                  rx_ctmsp_counter_->Increment();
+                  kernel_->sim()->telemetry().journeys.Stamp(
+                      packet.journey, JourneyStage::kRxClassify, kernel_->sim()->Now());
+                  SpanTracer& tracer = kernel_->sim()->telemetry().tracer;
+                  if (tracer.enabled()) {
+                    tracer.AddInstant(track_, "ctmsp_rx_classified", kernel_->sim()->Now(),
+                                      {{"seq", static_cast<int64_t>(packet.seq)}});
+                  }
+                  probes_->Emit(ProbePoint::kRxClassified, packet.seq, kernel_->sim()->Now());
+                },
+                Spl::kImp);
     if (config_.rx_copy_ctmsp_to_mbufs) {
-      job.steps.push_back(Cpu::Step{config_.mbuf_alloc_cost, nullptr, Spl::kImp});
-      UnixKernel::AppendSteps(&job.steps,
-                              kernel_->CopySteps(packet.bytes, buffer_kind,
-                                                 MemoryKind::kSystemMemory, Spl::kImp));
-      job.steps.push_back(Cpu::Step{0,
-                                    [this, packet]() {
-                                      adapter_->ReleaseRxBuffer();
-                                      if (ctmsp_input_) {
-                                        ctmsp_input_(packet, /*in_dma_buffer=*/false, []() {});
-                                      }
-                                    },
-                                    Spl::kImp});
+      job.AddStep(config_.mbuf_alloc_cost, nullptr, Spl::kImp);
+      kernel_->CopySteps(&job, packet.bytes, buffer_kind, MemoryKind::kSystemMemory,
+                         Spl::kImp);
+      job.AddStep(0,
+                  [this, packet]() {
+                    adapter_->ReleaseRxBuffer();
+                    if (ctmsp_input_) {
+                      ctmsp_input_(packet, /*in_dma_buffer=*/false, []() {});
+                    }
+                  },
+                  Spl::kImp);
     } else {
       // Driver-to-driver in place: the destination device examines the packet in the fixed
       // DMA buffer and releases it when done.
-      job.steps.push_back(Cpu::Step{0,
-                                    [this, packet]() {
-                                      if (ctmsp_input_) {
-                                        ctmsp_input_(packet, /*in_dma_buffer=*/true,
-                                                     [this]() { adapter_->ReleaseRxBuffer(); });
-                                      } else {
-                                        adapter_->ReleaseRxBuffer();
-                                      }
-                                    },
-                                    Spl::kImp});
+      job.AddStep(0,
+                  [this, packet]() {
+                    if (ctmsp_input_) {
+                      ctmsp_input_(packet, /*in_dma_buffer=*/true,
+                                   [this]() { adapter_->ReleaseRxBuffer(); });
+                    } else {
+                      adapter_->ReleaseRxBuffer();
+                    }
+                  },
+                  Spl::kImp);
     }
   } else {
     // Stock path: classify, allocate mbufs, copy the packet out of the DMA buffer, then
     // queue for protocol processing at splnet.
-    job.steps.push_back(Cpu::Step{config_.classify_cost, nullptr, Spl::kImp});
-    job.steps.push_back(Cpu::Step{config_.mbuf_alloc_cost, nullptr, Spl::kImp});
-    UnixKernel::AppendSteps(&job.steps,
-                            kernel_->CopySteps(packet.bytes, buffer_kind,
-                                               MemoryKind::kSystemMemory, Spl::kImp));
-    job.steps.push_back(Cpu::Step{0,
-                                  [this, packet]() {
-                                    adapter_->ReleaseRxBuffer();
-                                    if (packet.protocol == ProtocolId::kArp) {
-                                      ++rx_arp_;
-                                      rx_arp_counter_->Increment();
-                                      if (arp_input_) {
-                                        arp_input_(packet);
-                                      }
-                                      return;
-                                    }
-                                    ++rx_ip_;
-                                    rx_ip_counter_->Increment();
-                                    if (ipintr_q_.Enqueue(packet)) {
-                                      DrainIpintr();
-                                    }
-                                  },
-                                  Spl::kImp});
+    job.AddStep(config_.classify_cost, nullptr, Spl::kImp);
+    job.AddStep(config_.mbuf_alloc_cost, nullptr, Spl::kImp);
+    kernel_->CopySteps(&job, packet.bytes, buffer_kind, MemoryKind::kSystemMemory, Spl::kImp);
+    job.AddStep(0,
+                [this, packet]() {
+                  adapter_->ReleaseRxBuffer();
+                  if (packet.protocol == ProtocolId::kArp) {
+                    ++rx_arp_;
+                    rx_arp_counter_->Increment();
+                    if (arp_input_) {
+                      arp_input_(packet);
+                    }
+                    return;
+                  }
+                  ++rx_ip_;
+                  rx_ip_counter_->Increment();
+                  if (ipintr_q_.Enqueue(packet)) {
+                    DrainIpintr();
+                  }
+                },
+                Spl::kImp);
   }
-  kernel_->machine()->cpu().SubmitInterrupt(std::move(job));
+  cpu.SubmitInterrupt(std::move(job));
 }
 
 void TokenRingDriver::DrainIpintr() {

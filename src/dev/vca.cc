@@ -139,18 +139,16 @@ void VcaSourceDriver::OnIrq() {
   // see it with no software cost).
   probes_->Emit(ProbePoint::kVcaIrq, static_cast<uint32_t>(interrupts_), now);
 
-  Cpu::Job job;
-  job.name = "vca-intr";
-  job.level = Spl::kImp;
+  Cpu& cpu = kernel_->machine()->cpu();
+  Cpu::Job job = cpu.NewJob("vca-intr", Spl::kImp);
   // Measurement point 2: entry into the interrupt handler (after dispatch), with the
   // in-line recording cost of whichever tool is attached.
-  job.steps.push_back(Cpu::Step{probes_->inline_cost(),
-                                [this]() {
-                                  probes_->Emit(ProbePoint::kVcaHandlerEntry,
-                                                static_cast<uint32_t>(interrupts_),
-                                                kernel_->sim()->Now());
-                                },
-                                Spl::kImp});
+  job.AddStep(probes_->inline_cost(),
+              [this]() {
+                probes_->Emit(ProbePoint::kVcaHandlerEntry, static_cast<uint32_t>(interrupts_),
+                              kernel_->sim()->Now());
+              },
+              Spl::kImp);
 
   if (mode_ == OutputMode::kCtmspDirect) {
     const uint32_t seq = connection_->NextSeq();
@@ -166,22 +164,20 @@ void VcaSourceDriver::OnIrq() {
     }
     // Build the packet: allocate the chain, store the precomputed header, the destination
     // device number and the packet number.
-    job.steps.push_back(Cpu::Step{config_.build_cost,
-                                  [this]() {
-                                    // Chain allocation happens in the action so pool
-                                    // occupancy reflects interrupt-time reality.
-                                  },
-                                  Spl::kImp});
+    job.AddStep(config_.build_cost,
+                [this]() {
+                  // Chain allocation happens in the action so pool occupancy reflects
+                  // interrupt-time reality.
+                },
+                Spl::kImp);
     if (config_.copy_device_data) {
-      job.steps.push_back(
-          Cpu::Step{config_.device_bytes * config_.pio_per_byte, nullptr, Spl::kImp});
+      job.AddStep(config_.device_bytes * config_.pio_per_byte, nullptr, Spl::kImp);
     }
     if (config_.compression == CompressionSite::kHost) {
       // The software codec chews every raw byte on the host CPU before transport.
-      job.steps.push_back(Cpu::Step{config_.packet_bytes * config_.host_compress_per_byte,
-                                    nullptr, Spl::kImp});
+      job.AddStep(config_.packet_bytes * config_.host_compress_per_byte, nullptr, Spl::kImp);
     }
-    job.steps.push_back(Cpu::Step{
+    job.AddStep(
         0,
         [this, seq, now, wire_bytes]() {
           // Journey birth: the id is anchored to the IRQ edge, the stage it measures from.
@@ -221,12 +217,12 @@ void VcaSourceDriver::OnIrq() {
             recovery_tx_->OnDataSent(seq, wire_bytes);
           }
         },
-        Spl::kImp});
+        Spl::kImp);
     if (recovery_tx_ != nullptr && recovery_tx_->ParityDue(seq)) {
       // This interrupt produced the group's closing packet: XOR the group and ship the
       // parity right behind it. A separate step so the CPU cost of the XOR is visible,
       // sequenced after the data action so the closer is in the group before it closes.
-      job.steps.push_back(Cpu::Step{
+      job.AddStep(
           recovery_tx_->config().parity_build_cost,
           [this, seq]() {
             std::optional<RecoveryTx::ParityPacket> parity = recovery_tx_->FinishGroup(seq);
@@ -259,16 +255,14 @@ void VcaSourceDriver::OnIrq() {
               queue_drops_counter_->Increment();
             }
           },
-          Spl::kImp});
+          Spl::kImp);
     }
   } else {
     // Stock mode: the handler copies the card's kernel-buffer data into mbufs and wakes the
     // relay process — the first two copies of the section-2 diagram.
-    UnixKernel::AppendSteps(
-        &job.steps,
-        kernel_->CopySteps(config_.packet_bytes, MemoryKind::kSystemMemory,
-                           MemoryKind::kSystemMemory, Spl::kImp));
-    job.steps.push_back(Cpu::Step{
+    kernel_->CopySteps(&job, config_.packet_bytes, MemoryKind::kSystemMemory,
+                       MemoryKind::kSystemMemory, Spl::kImp);
+    job.AddStep(
         0,
         [this, now]() {
           PayloadRef payload = kernel_->AllocatePayload(config_.packet_bytes);
@@ -291,9 +285,9 @@ void VcaSourceDriver::OnIrq() {
             deliver_(packet);
           }
         },
-        Spl::kImp});
+        Spl::kImp);
   }
-  kernel_->machine()->cpu().SubmitInterrupt(std::move(job));
+  cpu.SubmitInterrupt(std::move(job));
 }
 
 // --- VcaSinkDriver ---------------------------------------------------------------------------
@@ -331,67 +325,62 @@ void VcaSinkDriver::OnCtmspDeliver(const Packet& packet, bool in_dma_buffer,
   ++packets_accepted_;
   packets_accepted_counter_->Increment();
 
-  Cpu::Job job;
-  job.name = "vca-sink";
-  job.level = Spl::kImp;
-  job.steps.push_back(Cpu::Step{config_.examine_cost, nullptr, Spl::kImp});
+  Cpu& cpu = kernel_->machine()->cpu();
+  Cpu::Job job = cpu.NewJob("vca-sink", Spl::kImp);
+  job.AddStep(config_.examine_cost, nullptr, Spl::kImp);
   if (config_.copy_to_device) {
     // Copy out of mbufs (or straight out of the fixed DMA buffer) into the card's memory
     // across the 16-bit interface.
     const SimDuration copy_cost = packet.bytes * config_.device_copy_per_byte;
     kernel_->machine()->copies().RecordCpuCopy(packet.bytes);
-    job.steps.push_back(Cpu::Step{copy_cost, nullptr, Spl::kImp});
+    job.AddStep(copy_cost, nullptr, Spl::kImp);
   }
-  job.steps.push_back(Cpu::Step{0,
-                                [this, bytes = packet.bytes, created_at = packet.created_at,
-                                 journey = packet.journey, release]() {
-                                  release();
-                                  const SimDuration age =
-                                      kernel_->sim()->Now() - created_at;
-                                  latency_.Add(age);
-                                  if (config_.deadline > 0 && age > config_.deadline) {
-                                    ++deadline_misses_;
-                                    if (deadline_misses_counter_ != nullptr) {
-                                      deadline_misses_counter_->Increment();
-                                    }
-                                  }
-                                  kernel_->sim()->telemetry().journeys.Complete(
-                                      journey, kernel_->sim()->Now());
-                                  EnqueuePlayout(bytes);
-                                },
-                                Spl::kImp});
+  job.AddStep(0,
+              [this, bytes = packet.bytes, created_at = packet.created_at,
+               journey = packet.journey, release = std::move(release)]() {
+                release();
+                const SimDuration age = kernel_->sim()->Now() - created_at;
+                latency_.Add(age);
+                if (config_.deadline > 0 && age > config_.deadline) {
+                  ++deadline_misses_;
+                  if (deadline_misses_counter_ != nullptr) {
+                    deadline_misses_counter_->Increment();
+                  }
+                }
+                kernel_->sim()->telemetry().journeys.Complete(journey, kernel_->sim()->Now());
+                EnqueuePlayout(bytes);
+              },
+              Spl::kImp);
   (void)in_dma_buffer;  // costs are identical either way; what differs is who held the buffer
-  kernel_->machine()->cpu().SubmitInterrupt(std::move(job));
+  cpu.SubmitInterrupt(std::move(job));
 }
 
 void VcaSinkDriver::DeliverRepaired(int64_t bytes, SimTime created_at) {
   ++packets_accepted_;
   packets_accepted_counter_->Increment();
 
-  Cpu::Job job;
-  job.name = "vca-sink";
-  job.level = Spl::kImp;
-  job.steps.push_back(Cpu::Step{config_.examine_cost, nullptr, Spl::kImp});
+  Cpu& cpu = kernel_->machine()->cpu();
+  Cpu::Job job = cpu.NewJob("vca-sink", Spl::kImp);
+  job.AddStep(config_.examine_cost, nullptr, Spl::kImp);
   if (config_.copy_to_device) {
     const SimDuration copy_cost = bytes * config_.device_copy_per_byte;
     kernel_->machine()->copies().RecordCpuCopy(bytes);
-    job.steps.push_back(Cpu::Step{copy_cost, nullptr, Spl::kImp});
+    job.AddStep(copy_cost, nullptr, Spl::kImp);
   }
-  job.steps.push_back(Cpu::Step{0,
-                                [this, bytes, created_at]() {
-                                  const SimDuration age =
-                                      kernel_->sim()->Now() - created_at;
-                                  latency_.Add(age);
-                                  if (config_.deadline > 0 && age > config_.deadline) {
-                                    ++deadline_misses_;
-                                    if (deadline_misses_counter_ != nullptr) {
-                                      deadline_misses_counter_->Increment();
-                                    }
-                                  }
-                                  EnqueuePlayout(bytes);
-                                },
-                                Spl::kImp});
-  kernel_->machine()->cpu().SubmitInterrupt(std::move(job));
+  job.AddStep(0,
+              [this, bytes, created_at]() {
+                const SimDuration age = kernel_->sim()->Now() - created_at;
+                latency_.Add(age);
+                if (config_.deadline > 0 && age > config_.deadline) {
+                  ++deadline_misses_;
+                  if (deadline_misses_counter_ != nullptr) {
+                    deadline_misses_counter_->Increment();
+                  }
+                }
+                EnqueuePlayout(bytes);
+              },
+              Spl::kImp);
+  cpu.SubmitInterrupt(std::move(job));
 }
 
 void VcaSinkDriver::UpdateOccupancyIntegral() {

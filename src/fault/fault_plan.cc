@@ -14,7 +14,9 @@ namespace {
 
 // A minimal JSON reader — objects, arrays, strings, numbers, booleans, null — sufficient for
 // the plan schema and kept here so fault plans add no dependency. Numbers are doubles (the
-// schema's values all fit), strings support the standard escapes minus \uXXXX.
+// schema's values all fit), strings support the standard escapes minus \uXXXX. The reader
+// recurses once per nesting level, so nesting is capped (the schema needs three levels):
+// hostile input fails with an error instead of overflowing the stack.
 struct JsonValue {
   enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };
   Type type = Type::kNull;
@@ -36,6 +38,8 @@ struct JsonValue {
 
 class JsonParser {
  public:
+  static constexpr int kMaxDepth = 64;
+
   explicit JsonParser(std::string_view text) : text_(text) {}
 
   std::optional<JsonValue> Parse(std::string* error) {
@@ -90,11 +94,15 @@ class JsonParser {
       return std::nullopt;
     }
     const char c = text_[pos_];
-    if (c == '{') {
-      return ParseObject();
-    }
-    if (c == '[') {
-      return ParseArray();
+    if (c == '{' || c == '[') {
+      if (depth_ == kMaxDepth) {
+        Fail("nesting deeper than " + std::to_string(kMaxDepth) + " levels");
+        return std::nullopt;
+      }
+      ++depth_;
+      std::optional<JsonValue> nested = c == '{' ? ParseObject() : ParseArray();
+      --depth_;
+      return nested;
     }
     if (c == '"') {
       return ParseString();
@@ -244,6 +252,7 @@ class JsonParser {
 
   std::string_view text_;
   size_t pos_ = 0;
+  int depth_ = 0;  // objects and arrays currently open
   std::string error_;
 };
 

@@ -24,12 +24,42 @@ Cpu::Cpu(Simulation* sim, std::string name) : sim_(sim), name_(std::move(name)) 
   track_ = telemetry.tracer.RegisterTrack("cpu." + instance);
 }
 
-Spl Cpu::EffectiveLevel(const ActiveJob& active) const {
-  if (active.next_step >= active.job.steps.size()) {
-    return active.job.level;
+Cpu::Job& Cpu::Job::AddStep(SimDuration duration, Action action, Spl spl) {
+  record_->steps.emplace_back(duration, std::move(action), spl);
+  return *this;
+}
+
+void Cpu::Job::set_on_done(Action on_done) { record_->on_done = std::move(on_done); }
+
+Cpu::Job Cpu::NewJob(const char* name, Spl level) {
+  Record* record = free_;
+  if (record != nullptr) {
+    free_ = record->next;
+  } else {
+    records_.push_back(std::make_unique<Record>());
+    record = records_.back().get();
   }
-  const Spl step_spl = active.job.steps[active.next_step].spl;
-  return SplValue(step_spl) > SplValue(active.job.level) ? step_spl : active.job.level;
+  record->name = name;
+  record->level = level;
+  record->next = nullptr;
+  // The dispatch-latency slot, filled in by SubmitInterrupt and skipped by SubmitProcess.
+  record->steps.emplace_back(0, nullptr, level);
+  return Job(this, record);
+}
+
+void Cpu::Recycle(Record* record) {
+  record->on_done.Reset();
+  record->steps.clear();
+  record->next = free_;
+  free_ = record;
+}
+
+Spl Cpu::EffectiveLevel(const Record& record) const {
+  if (record.next_step >= record.steps.size()) {
+    return record.level;
+  }
+  const Spl step_spl = record.steps[record.next_step].spl;
+  return SplValue(step_spl) > SplValue(record.level) ? step_spl : record.level;
 }
 
 Spl Cpu::current_level() const {
@@ -39,11 +69,11 @@ Spl Cpu::current_level() const {
   // The step about to run / in flight determines the level.
   const size_t idx = current_->next_step > 0 && step_in_flight_ ? current_->next_step - 1
                                                                 : current_->next_step;
-  if (idx >= current_->job.steps.size()) {
-    return current_->job.level;
+  if (idx >= current_->steps.size()) {
+    return current_->level;
   }
-  const Spl step_spl = current_->job.steps[idx].spl;
-  return SplValue(step_spl) > SplValue(current_->job.level) ? step_spl : current_->job.level;
+  const Spl step_spl = current_->steps[idx].spl;
+  return SplValue(step_spl) > SplValue(current_->level) ? step_spl : current_->level;
 }
 
 SimDuration Cpu::Stretched(SimDuration d) const {
@@ -56,34 +86,42 @@ SimDuration Cpu::Stretched(SimDuration d) const {
 void Cpu::SubmitInterrupt(Job job) {
   // Model interrupt dispatch (context save, vectoring) as an implicit leading step at the
   // job's own level; jitter reflects microarchitectural variation, not kernel state.
-  const SimDuration dispatch =
+  Record* record = job.record_;
+  job.record_ = nullptr;
+  record->steps[0].duration =
       dispatch_base_ + (dispatch_jitter_ > 0 ? sim_->rng().UniformDuration(0, dispatch_jitter_) : 0);
-  std::vector<Step> steps;
-  steps.reserve(job.steps.size() + 1);
-  steps.push_back(Step{dispatch, nullptr, job.level});
-  for (auto& s : job.steps) {
-    steps.push_back(std::move(s));
-  }
-  job.steps = std::move(steps);
+  record->next_step = 0;
   interrupts_counter_->Increment();
-  Enqueue(ActiveJob{std::move(job), 0});
+  Enqueue(record);
 }
 
-void Cpu::SubmitProcess(Job job) { Enqueue(ActiveJob{std::move(job), 0}); }
+void Cpu::SubmitProcess(Job job) {
+  Record* record = job.record_;
+  job.record_ = nullptr;
+  record->next_step = 1;
+  Enqueue(record);
+}
 
-void Cpu::SubmitInterrupt(std::string name, Spl level, SimDuration duration,
-                          std::function<void()> action) {
-  Job job;
-  job.name = std::move(name);
-  job.level = level;
-  job.steps.push_back(Step{duration, std::move(action), level});
+void Cpu::SubmitInterrupt(const char* name, Spl level, SimDuration duration, Action action) {
+  Job job = NewJob(name, level);
+  job.AddStep(duration, std::move(action), level);
   SubmitInterrupt(std::move(job));
 }
 
 void Cpu::CancelAll() {
-  current_.reset();
+  if (current_ != nullptr) {
+    Recycle(current_);
+    current_ = nullptr;
+  }
+  for (Record* record : preempted_) {
+    Recycle(record);
+  }
   preempted_.clear();
-  pending_.clear();
+  while (pending_ != nullptr) {
+    Record* record = pending_;
+    pending_ = record->next;
+    Recycle(record);
+  }
   // A step event may still be scheduled on the simulation; step_in_flight_ stays true so
   // nothing new dispatches, and the event finds no current job if it ever fires.
   step_in_flight_ = true;
@@ -96,19 +134,29 @@ void Cpu::EndMemoryContention() {
   --contention_count_;
 }
 
-void Cpu::Enqueue(ActiveJob active) {
+void Cpu::Enqueue(Record* record) {
   jobs_submitted_counter_->Increment();
-  auto holder = std::make_unique<ActiveJob>(std::move(active));
   // Insert keeping pending_ sorted by level descending, FIFO within a level.
-  auto it = pending_.begin();
-  while (it != pending_.end() &&
-         SplValue((*it)->job.level) >= SplValue(holder->job.level)) {
-    ++it;
+  Record** link = &pending_;
+  while (*link != nullptr && SplValue((*link)->level) >= SplValue(record->level)) {
+    link = &(*link)->next;
   }
-  pending_.insert(it, std::move(holder));
+  record->next = *link;
+  *link = record;
   if (!step_in_flight_) {
     ScheduleNext();
   }
+}
+
+Cpu::Record* Cpu::FinishCurrent() {
+  Record* finished = current_;
+  current_ = nullptr;
+  ++jobs_completed_;
+  jobs_completed_counter_->Increment();
+  if (finished->on_done) {
+    finished->on_done();
+  }
+  return finished;
 }
 
 void Cpu::ScheduleNext() {
@@ -120,35 +168,30 @@ void Cpu::ScheduleNext() {
   // Decide what runs now: the current job's next step, a pending job that preempts it, or
   // (if there is no current job) the best of pending vs the preempted stack.
   if (current_ == nullptr && !preempted_.empty()) {
-    current_ = std::move(preempted_.back());
+    current_ = preempted_.back();
     preempted_.pop_back();
   }
-  if (!pending_.empty()) {
-    const Spl incoming = pending_.front()->job.level;
+  if (pending_ != nullptr) {
+    const Spl incoming = pending_->level;
     const bool preempts =
         current_ == nullptr || !SplBlocks(EffectiveLevel(*current_), incoming);
     if (preempts) {
       if (current_ != nullptr) {
         preemptions_counter_->Increment();
-        preempted_.push_back(std::move(current_));
+        preempted_.push_back(current_);
       }
-      current_ = std::move(pending_.front());
-      pending_.pop_front();
+      current_ = pending_;
+      pending_ = current_->next;
     }
   }
   if (current_ == nullptr) {
     return;  // idle
   }
-  if (current_->next_step >= current_->job.steps.size()) {
+  if (current_->next_step >= current_->steps.size()) {
     // Degenerate job with no steps (or all steps already run): complete it immediately.
-    auto finished = std::move(current_);
-    current_ = nullptr;
-    ++jobs_completed_;
-    jobs_completed_counter_->Increment();
-    if (finished->job.on_done) {
-      finished->job.on_done();
-    }
+    Record* finished = FinishCurrent();
     ScheduleNext();
+    Recycle(finished);
     return;
   }
   StartStep();
@@ -156,41 +199,36 @@ void Cpu::ScheduleNext() {
 
 void Cpu::StartStep() {
   assert(current_ != nullptr);
-  assert(current_->next_step < current_->job.steps.size());
+  assert(current_->next_step < current_->steps.size());
   step_in_flight_ = true;
-  Step& step = current_->job.steps[current_->next_step];
-  const SimDuration elapsed = Stretched(step.duration);
+  const SimDuration elapsed = Stretched(current_->steps[current_->next_step].duration);
   ++current_->next_step;
-  sim_->After(elapsed, [this, elapsed]() {
-    if (current_ == nullptr) {
-      return;  // CancelAll ran while this step was in flight
-    }
-    busy_time_ += elapsed;
-    busy_by_job_[current_->job.name] += elapsed;
-    const size_t completed = current_->next_step - 1;
-    steps_counter_->Increment();
-    SpanTracer& tracer = sim_->telemetry().tracer;
-    if (tracer.enabled()) {
-      tracer.AddComplete(
-          track_, current_->job.name, sim_->Now() - elapsed, elapsed,
-          {{"spl", static_cast<int64_t>(SplValue(current_->job.steps[completed].spl))}});
-    }
-    auto action = std::move(current_->job.steps[completed].action);
-    if (action) {
-      action();  // may submit new jobs; step_in_flight_ still true so no re-entrancy
-    }
-    step_in_flight_ = false;
-    if (current_ != nullptr && current_->next_step >= current_->job.steps.size()) {
-      auto finished = std::move(current_);
-      current_ = nullptr;
-      ++jobs_completed_;
-      jobs_completed_counter_->Increment();
-      if (finished->job.on_done) {
-        finished->job.on_done();
-      }
-    }
-    ScheduleNext();
-  });
+  sim_->After(elapsed, [this, elapsed]() { CompleteStep(elapsed); });
+}
+
+void Cpu::CompleteStep(SimDuration elapsed) {
+  if (current_ == nullptr) {
+    return;  // CancelAll ran while this step was in flight
+  }
+  busy_time_ += elapsed;
+  Step& step = current_->steps[current_->next_step - 1];
+  steps_counter_->Increment();
+  SpanTracer& tracer = sim_->telemetry().tracer;
+  if (tracer.enabled()) {
+    tracer.AddComplete(track_, current_->name, sim_->Now() - elapsed, elapsed,
+                       {{"spl", static_cast<int64_t>(SplValue(step.spl))}});
+  }
+  // Moved out so a CancelAll inside the action cannot destroy the running closure; its
+  // captures die when this step's event ends, after the next step is scheduled.
+  Action action = std::move(step.action);
+  if (action) {
+    action();  // may submit new jobs; step_in_flight_ still true so no re-entrancy
+  }
+  step_in_flight_ = false;
+  if (current_ != nullptr && current_->next_step >= current_->steps.size()) {
+    Recycle(FinishCurrent());
+  }
+  ScheduleNext();
 }
 
 double Cpu::Utilization() const {

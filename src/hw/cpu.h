@@ -13,58 +13,93 @@
 //
 // DMA into system memory steals memory-bus cycles from the CPU (section 4); that is modelled
 // as a stretch factor applied to step durations while such a transfer is active.
+//
+// Every packet crosses a dozen jobs and about fifty steps, so building and running a job
+// allocates nothing once the Cpu has warmed up: job records (with their step storage) are
+// recycled inside the Cpu, and step actions live in inline storage.
 
 #ifndef SRC_HW_CPU_H_
 #define SRC_HW_CPU_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <deque>
-#include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "src/hw/spl.h"
+#include "src/sim/inline_function.h"
 #include "src/sim/simulation.h"
 #include "src/sim/time.h"
 
 namespace ctms {
 
 class Cpu {
- public:
-  struct Step {
-    SimDuration duration = 0;
-    std::function<void()> action;  // runs when the step completes; may submit further work
-    Spl spl = Spl::kNone;          // level while this step runs (max'ed with the job level)
-  };
+ private:
+  struct Record;
 
-  struct Job {
-    std::string name;
-    Spl level = Spl::kNone;
-    std::vector<Step> steps;
-    std::function<void()> on_done;
+ public:
+  // Inline capacity of a step action or a job's on_done callback: a `this` pointer plus a
+  // Packet (88 bytes) plus a few scalars, the largest closure the per-packet path builds.
+  // A larger capture still works but costs a heap allocation per job.
+  static constexpr size_t kActionBytes = 112;
+  using Action = BasicInlineFunction<kActionBytes>;
+
+  // A job under construction. NewJob hands one out; SubmitInterrupt or SubmitProcess takes
+  // it. It is a move-only handle on a record the Cpu recycles, so it must not outlive its
+  // Cpu; a job dropped without being submitted gives its record back (destroying its
+  // captures) at once.
+  class Job {
+   public:
+    Job(Job&& other) noexcept : cpu_(other.cpu_), record_(other.record_) {
+      other.record_ = nullptr;
+    }
+    Job& operator=(Job&&) = delete;
+    ~Job() {
+      if (record_ != nullptr) {
+        cpu_->Recycle(record_);
+      }
+    }
+
+    // Appends a step that runs for `duration` at max(spl, the job's level) and then runs
+    // `action`, which may submit further work.
+    Job& AddStep(SimDuration duration, Action action = nullptr, Spl spl = Spl::kNone);
+    // Runs once, after the last step's action.
+    void set_on_done(Action on_done);
+
+   private:
+    friend class Cpu;
+    Job(Cpu* cpu, Record* record) : cpu_(cpu), record_(record) {}
+
+    Cpu* cpu_;
+    Record* record_;
   };
 
   Cpu(Simulation* sim, std::string name);
+  Cpu(const Cpu&) = delete;
+  Cpu& operator=(const Cpu&) = delete;
 
-  // Submits an interrupt-context job at `job.level`. The configured dispatch latency (plus
-  // jitter) is prepended as an implicit first step, so the first caller-visible action runs
+  // Starts building a job that runs at spl `level`. `name` labels the job's trace spans
+  // and is not copied: pass a string literal or one that outlives the job.
+  Job NewJob(const char* name, Spl level);
+
+  // Submits an interrupt-context job. The configured dispatch latency (plus jitter) runs as
+  // an implicit first step at the job's level, so the first caller-visible action runs
   // dispatch-latency later even on an idle CPU.
   void SubmitInterrupt(Job job);
 
   // Submits base-level (process-context) work with no dispatch latency.
   void SubmitProcess(Job job);
 
-  // Discards every queued, preempted and in-flight job without running their actions.
-  // Owners whose jobs capture resources with shorter lifetimes (an experiment's mbuf
-  // chains live in its kernel, which is destroyed before this CPU's machine) call this
-  // from their destructors so captured state dies while its dependencies are still alive.
-  void CancelAll();
+  // Convenience: one-step interrupt job whose step runs at `level`.
+  void SubmitInterrupt(const char* name, Spl level, SimDuration duration, Action action);
 
-  // Convenience: one-step interrupt job.
-  void SubmitInterrupt(std::string name, Spl level, SimDuration duration,
-                       std::function<void()> action);
+  // Discards every queued, preempted and in-flight job without running their actions.
+  // Owners whose jobs capture resources with shorter lifetimes (an experiment's payload
+  // refs are charged to pools in its kernel, which is destroyed before this CPU's machine)
+  // call this from their destructors so captured state dies while its dependencies are
+  // still alive.
+  void CancelAll();
 
   // --- DMA interference ---------------------------------------------------------------
   // While count > 0, step durations are multiplied by the stretch factor. Nested calls
@@ -78,10 +113,11 @@ class Cpu {
   void set_dispatch_jitter(SimDuration d) { dispatch_jitter_ = d; }
 
   // --- introspection --------------------------------------------------------------------
+  // Per-job CPU time is not kept here: with tracing on, every step is a span on this CPU's
+  // track named after its job.
   bool idle() const { return current_ == nullptr; }
   Spl current_level() const;
   SimDuration busy_time() const { return busy_time_; }
-  const std::map<std::string, SimDuration>& busy_by_job() const { return busy_by_job_; }
   uint64_t jobs_completed() const { return jobs_completed_; }
   // Fraction of all simulated time so far that this CPU spent busy. Callers wanting a
   // windowed figure snapshot busy_time() themselves and difference it.
@@ -89,24 +125,44 @@ class Cpu {
   const std::string& name() const { return name_; }
 
  private:
-  struct ActiveJob {
-    Job job;
-    size_t next_step = 0;
+  struct Step {
+    SimDuration duration = 0;
+    Action action;  // runs when the step completes; may submit further work
+    Spl spl = Spl::kNone;  // level while this step runs (max'ed with the job level)
   };
 
-  void Enqueue(ActiveJob active);
+  // One job. steps[0] is the dispatch-latency slot: SubmitInterrupt fills in its duration
+  // and starts there, SubmitProcess starts at steps[1]. A record is recycled (its captures
+  // destroyed, its step storage kept) when its job finishes, is cancelled, or is dropped
+  // unsubmitted.
+  struct Record {
+    const char* name = "";
+    Spl level = Spl::kNone;
+    std::vector<Step> steps;
+    Action on_done;
+    size_t next_step = 0;
+    Record* next = nullptr;  // link in pending_ or free_
+  };
+
+  void Enqueue(Record* record);
   // Called at every step boundary: picks what runs next.
   void ScheduleNext();
   void StartStep();
+  void CompleteStep(SimDuration elapsed);
+  // Takes the finished current job off the CPU and runs its on_done.
+  Record* FinishCurrent();
+  void Recycle(Record* record);
   SimDuration Stretched(SimDuration d) const;
-  Spl EffectiveLevel(const ActiveJob& active) const;
+  Spl EffectiveLevel(const Record& record) const;
 
   Simulation* sim_;
   std::string name_;
 
-  std::unique_ptr<ActiveJob> current_;
-  std::vector<std::unique_ptr<ActiveJob>> preempted_;       // stack
-  std::deque<std::unique_ptr<ActiveJob>> pending_;          // kept sorted by level desc, FIFO within
+  Record* current_ = nullptr;
+  std::vector<Record*> preempted_;  // stack
+  Record* pending_ = nullptr;       // sorted by level desc, FIFO within a level
+  Record* free_ = nullptr;          // recycled records
+  std::vector<std::unique_ptr<Record>> records_;  // owns every record, grows on demand
   bool step_in_flight_ = false;
 
   SimDuration dispatch_base_ = Microseconds(40);
@@ -116,7 +172,6 @@ class Cpu {
   double contention_stretch_ = 1.3;
 
   SimDuration busy_time_ = 0;
-  std::map<std::string, SimDuration> busy_by_job_;
   uint64_t jobs_completed_ = 0;
 
   // Cached telemetry slots (cpu.<instance>.*) and the tracer track carrying step spans.

@@ -26,40 +26,46 @@ void DmaEngine::Transfer(int64_t bytes, MemoryKind buffer_kind, std::function<vo
 
 void DmaEngine::Start(Request request) {
   busy_ = true;
-  const bool steals_cpu_cycles =
-      cpu_ != nullptr && request.buffer_kind == MemoryKind::kSystemMemory;
-  if (steals_cpu_cycles) {
+  in_flight_ = std::move(request);
+  in_flight_steals_cpu_ =
+      cpu_ != nullptr && in_flight_.buffer_kind == MemoryKind::kSystemMemory;
+  if (in_flight_steals_cpu_) {
     cpu_->BeginMemoryContention();
   }
-  const SimDuration elapsed = TransferTime(request.bytes);
-  sim_->After(elapsed, [this, steals_cpu_cycles, request = std::move(request)]() {
-    if (steals_cpu_cycles) {
-      cpu_->EndMemoryContention();
-    }
-    ++transfers_completed_;
-    bytes_transferred_ += request.bytes;
-    transfers_counter_->Increment();
-    bytes_counter_->Increment(static_cast<uint64_t>(request.bytes));
-    SpanTracer& tracer = sim_->telemetry().tracer;
-    if (tracer.enabled()) {
-      tracer.AddComplete(track_, "dma_transfer", sim_->Now() - TransferTime(request.bytes),
-                         TransferTime(request.bytes),
-                         {{"bytes", request.bytes},
-                          {"contends_cpu", steals_cpu_cycles ? 1 : 0}});
-    }
-    if (accounting_ != nullptr) {
-      accounting_->RecordDmaCopy(request.bytes);
-    }
-    if (request.on_done) {
-      request.on_done();
-    }
-    busy_ = false;
-    if (!queue_.empty()) {
-      Request next = std::move(queue_.front());
-      queue_.pop_front();
-      Start(std::move(next));
-    }
-  });
+  sim_->After(TransferTime(in_flight_.bytes), [this]() { Complete(); });
+}
+
+void DmaEngine::Complete() {
+  const int64_t bytes = in_flight_.bytes;
+  if (in_flight_steals_cpu_) {
+    cpu_->EndMemoryContention();
+  }
+  ++transfers_completed_;
+  bytes_transferred_ += bytes;
+  transfers_counter_->Increment();
+  bytes_counter_->Increment(static_cast<uint64_t>(bytes));
+  SpanTracer& tracer = sim_->telemetry().tracer;
+  if (tracer.enabled()) {
+    tracer.AddComplete(track_, "dma_transfer", sim_->Now() - TransferTime(bytes),
+                       TransferTime(bytes),
+                       {{"bytes", bytes}, {"contends_cpu", in_flight_steals_cpu_ ? 1 : 0}});
+  }
+  if (accounting_ != nullptr) {
+    accounting_->RecordDmaCopy(bytes);
+  }
+  // Moved out first: on_done may queue the next transfer, which Start moves into
+  // in_flight_ below. Its captures die when this completion ends, as they did when the
+  // request rode in the completion event.
+  std::function<void()> on_done = std::move(in_flight_.on_done);
+  if (on_done) {
+    on_done();
+  }
+  busy_ = false;
+  if (!queue_.empty()) {
+    Request next = std::move(queue_.front());
+    queue_.pop_front();
+    Start(std::move(next));
+  }
 }
 
 }  // namespace ctms

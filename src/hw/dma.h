@@ -42,12 +42,13 @@ class DmaEngine {
 
  private:
   struct Request {
-    int64_t bytes;
-    MemoryKind buffer_kind;
+    int64_t bytes = 0;
+    MemoryKind buffer_kind = MemoryKind::kSystemMemory;
     std::function<void()> on_done;
   };
 
   void Start(Request request);
+  void Complete();
 
   Simulation* sim_;
   std::string name_;
@@ -55,6 +56,10 @@ class DmaEngine {
   CopyEngine* accounting_;
   SimDuration rate_per_byte_ = 1600;
   bool busy_ = false;
+  // The one transfer occupying the engine while busy_, kept here so the completion event
+  // captures only `this`.
+  Request in_flight_;
+  bool in_flight_steals_cpu_ = false;
   std::deque<Request> queue_;
   uint64_t transfers_completed_ = 0;
   int64_t bytes_transferred_ = 0;

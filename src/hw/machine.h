@@ -31,7 +31,7 @@ class Machine {
   const std::string& name() const { return name_; }
 
   // Returns the CPU time a copy of `bytes` from `src` to `dst` costs, and records it in the
-  // copy accounting. Callers fold the returned duration into a Cpu::Step.
+  // copy accounting. Callers fold the returned duration into a job step.
   SimDuration ChargeCpuCopy(int64_t bytes, MemoryKind src, MemoryKind dst);
 
   // Starts the 4.3BSD hardclock: a 100 Hz interrupt at splclock whose handler costs

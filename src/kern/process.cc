@@ -34,30 +34,27 @@ void RelayProcess::RunIteration(bool just_woken) {
   queue_.pop_front();
   queued_bytes_ -= packet.bytes;
 
-  Cpu::Job job;
-  job.name = name_;
-  job.level = Spl::kNone;
+  Cpu& cpu = kernel_->machine()->cpu();
+  Cpu::Job job = cpu.NewJob(name_.c_str(), Spl::kNone);
   if (just_woken) {
-    job.steps.push_back(Cpu::Step{config_.timings.context_switch, nullptr, Spl::kNone});
+    job.AddStep(config_.timings.context_switch, nullptr, Spl::kNone);
   }
   // read(): trap, then copy the packet out of kernel mbufs into the user buffer.
-  job.steps.push_back(Cpu::Step{config_.timings.syscall, nullptr, Spl::kNone});
-  UnixKernel::AppendSteps(&job.steps,
-                          kernel_->CopySteps(packet.bytes, MemoryKind::kSystemMemory,
-                                             MemoryKind::kSystemMemory, Spl::kNone));
+  job.AddStep(config_.timings.syscall, nullptr, Spl::kNone);
+  kernel_->CopySteps(&job, packet.bytes, MemoryKind::kSystemMemory, MemoryKind::kSystemMemory,
+                     Spl::kNone);
   // write(): trap, then copy the user buffer back into kernel mbufs.
-  job.steps.push_back(Cpu::Step{config_.timings.syscall, nullptr, Spl::kNone});
-  UnixKernel::AppendSteps(&job.steps,
-                          kernel_->CopySteps(packet.bytes, MemoryKind::kSystemMemory,
-                                             MemoryKind::kSystemMemory, Spl::kNone));
-  job.on_done = [this, packet]() {
+  job.AddStep(config_.timings.syscall, nullptr, Spl::kNone);
+  kernel_->CopySteps(&job, packet.bytes, MemoryKind::kSystemMemory, MemoryKind::kSystemMemory,
+                     Spl::kNone);
+  job.set_on_done([this, packet]() {
     ++forwarded_;
     if (forward_) {
       forward_(packet);
     }
     RunIteration(/*just_woken=*/false);
-  };
-  kernel_->machine()->cpu().SubmitProcess(std::move(job));
+  });
+  cpu.SubmitProcess(std::move(job));
 }
 
 CompetingProcess::CompetingProcess(UnixKernel* kernel, std::string name, Config config)
@@ -72,16 +69,15 @@ void CompetingProcess::Start() {
     phase = (phase * 131 + c) % config_.period;
   }
   cancel_ = SchedulePeriodic(sim, sim->Now() + phase, config_.period, [this]() {
-    Cpu::Job job;
-    job.name = name_;
-    job.level = Spl::kNone;
+    Cpu& cpu = kernel_->machine()->cpu();
+    Cpu::Job job = cpu.NewJob(name_.c_str(), Spl::kNone);
     SimDuration remaining = config_.burst;
     while (remaining > 0) {
       const SimDuration slice = remaining < config_.slice ? remaining : config_.slice;
-      job.steps.push_back(Cpu::Step{slice, nullptr, Spl::kNone});
+      job.AddStep(slice, nullptr, Spl::kNone);
       remaining -= slice;
     }
-    kernel_->machine()->cpu().SubmitProcess(std::move(job));
+    cpu.SubmitProcess(std::move(job));
   });
 }
 

@@ -32,32 +32,21 @@ void UnixKernel::AllocatePayloadOrWait(int64_t bytes, std::function<void(Payload
   });
 }
 
-std::vector<Cpu::Step> UnixKernel::CopySteps(int64_t bytes, MemoryKind src, MemoryKind dst,
-                                             Spl spl, std::function<void()> on_done) {
-  std::vector<Cpu::Step> steps;
+void UnixKernel::CopySteps(Cpu::Job* job, int64_t bytes, MemoryKind src, MemoryKind dst,
+                           Spl spl, Cpu::Action on_done) {
   const SimDuration total_cost = machine_->ChargeCpuCopy(bytes, src, dst);
   const int64_t chunk = config_.copy_chunk_bytes;
   if (bytes <= 0) {
-    steps.push_back(Cpu::Step{0, std::move(on_done), spl});
-    return steps;
+    job->AddStep(0, std::move(on_done), spl);
+    return;
   }
   const int64_t chunks = (bytes + chunk - 1) / chunk;
   const SimDuration per_chunk = total_cost / chunks;
-  SimDuration charged = 0;
-  for (int64_t i = 0; i < chunks; ++i) {
-    const bool last = i == chunks - 1;
-    // The final chunk absorbs integer-division remainder so the total is exact.
-    const SimDuration cost = last ? total_cost - charged : per_chunk;
-    charged += cost;
-    steps.push_back(Cpu::Step{cost, last ? std::move(on_done) : nullptr, spl});
+  for (int64_t i = 0; i < chunks - 1; ++i) {
+    job->AddStep(per_chunk, nullptr, spl);
   }
-  return steps;
-}
-
-void UnixKernel::AppendSteps(std::vector<Cpu::Step>* steps, std::vector<Cpu::Step> extra) {
-  for (auto& step : extra) {
-    steps->push_back(std::move(step));
-  }
+  // The final chunk absorbs integer-division remainder so the total is exact.
+  job->AddStep(total_cost - per_chunk * (chunks - 1), std::move(on_done), spl);
 }
 
 }  // namespace ctms

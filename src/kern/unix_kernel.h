@@ -5,7 +5,8 @@
 #ifndef SRC_KERN_UNIX_KERNEL_H_
 #define SRC_KERN_UNIX_KERNEL_H_
 
-#include <vector>
+#include <cstdint>
+#include <functional>
 
 #include "src/hw/cpu.h"
 #include "src/hw/machine.h"
@@ -41,13 +42,10 @@ class UnixKernel {
   // unbounded-delay hazard) and hands the converted PayloadRef to `on_ready`.
   void AllocatePayloadOrWait(int64_t bytes, std::function<void(PayloadRef)> on_ready);
 
-  // Builds CPU steps that perform (and account for) a copy of `bytes` from `src` to `dst`
-  // at level `spl`. `on_done` runs as the action of the final step.
-  std::vector<Cpu::Step> CopySteps(int64_t bytes, MemoryKind src, MemoryKind dst, Spl spl,
-                                   std::function<void()> on_done = nullptr);
-
-  // Appends `extra` steps to `steps`.
-  static void AppendSteps(std::vector<Cpu::Step>* steps, std::vector<Cpu::Step> extra);
+  // Appends to `job` the CPU steps that perform (and account for) a copy of `bytes` from
+  // `src` to `dst` at level `spl`. `on_done` runs as the action of the final step.
+  void CopySteps(Cpu::Job* job, int64_t bytes, MemoryKind src, MemoryKind dst, Spl spl,
+                 Cpu::Action on_done = nullptr);
 
  private:
   Machine* machine_;

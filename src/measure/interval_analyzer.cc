@@ -1,6 +1,8 @@
 #include "src/measure/interval_analyzer.h"
 
-#include <map>
+#include <algorithm>
+#include <cstdint>
+#include <utility>
 
 namespace ctms {
 
@@ -22,25 +24,46 @@ std::vector<SimDuration> InterOccurrence(const std::vector<ProbeEvent>& events,
   return out;
 }
 
-std::vector<SimDuration> MatchedDifference(const std::vector<ProbeEvent>& events,
-                                           ProbePoint from, ProbePoint to) {
-  // seq -> first observed time at each endpoint. First observation wins, so a retransmitted
-  // duplicate does not overwrite the original (matching the paper's dedup handling).
-  std::map<uint32_t, SimTime> from_times;
-  std::map<uint32_t, SimTime> to_times;
+namespace {
+
+// (seq, time) of every event at `point`, sorted by seq with only the first observation of
+// each seq kept, so a retransmitted duplicate does not overwrite the original (matching the
+// paper's dedup handling). Events arrive in time order, where seqs are nearly always
+// ascending already.
+std::vector<std::pair<uint32_t, SimTime>> FirstTimeBySeq(const std::vector<ProbeEvent>& events,
+                                                         ProbePoint point) {
+  std::vector<std::pair<uint32_t, SimTime>> times;
   for (const ProbeEvent& event : events) {
-    if (event.point == from) {
-      from_times.emplace(event.seq, event.time);
-    } else if (event.point == to) {
-      to_times.emplace(event.seq, event.time);
+    if (event.point == point) {
+      times.emplace_back(event.seq, event.time);
     }
   }
+  const auto by_seq = [](const auto& a, const auto& b) { return a.first < b.first; };
+  if (!std::is_sorted(times.begin(), times.end(), by_seq)) {
+    std::stable_sort(times.begin(), times.end(), by_seq);
+  }
+  times.erase(std::unique(times.begin(), times.end(),
+                          [](const auto& a, const auto& b) { return a.first == b.first; }),
+              times.end());
+  return times;
+}
+
+}  // namespace
+
+std::vector<SimDuration> MatchedDifference(const std::vector<ProbeEvent>& events,
+                                           ProbePoint from, ProbePoint to) {
+  const std::vector<std::pair<uint32_t, SimTime>> from_times = FirstTimeBySeq(events, from);
+  const std::vector<std::pair<uint32_t, SimTime>> to_times = FirstTimeBySeq(events, to);
+  // Merge-join on seq; the output is in ascending seq order.
   std::vector<SimDuration> out;
   out.reserve(from_times.size());
+  auto to_it = to_times.begin();
   for (const auto& [seq, t_from] : from_times) {
-    auto it = to_times.find(seq);
-    if (it != to_times.end()) {
-      out.push_back(it->second - t_from);
+    while (to_it != to_times.end() && to_it->first < seq) {
+      ++to_it;
+    }
+    if (to_it != to_times.end() && to_it->first == seq) {
+      out.push_back(to_it->second - t_from);
     }
   }
   return out;

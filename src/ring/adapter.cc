@@ -26,18 +26,16 @@ bool TokenRingAdapter::IssueTransmit(Frame frame, std::function<void(TxStatus)> 
     return false;
   }
   tx_busy_ = true;
+  tx_on_complete_ = std::move(on_complete);
   if (tx_stalled()) {
     // Card firmware is wedged (fault injection): the transmit command is accepted but the
     // frame never reaches the wire; the transmit-complete interrupt reports the failure.
     ++tx_stall_rejects_;
-    machine_->sim()->After(0, [this, journey = frame.journey,
-                               on_complete = std::move(on_complete)]() {
+    machine_->sim()->After(0, [this, journey = frame.journey]() {
       tx_busy_ = false;
       machine_->sim()->telemetry().journeys.Abort(journey, JourneyAnomaly::kDrop,
                                                   machine_->sim()->Now());
-      if (on_complete) {
-        on_complete(TxStatus::kAdapterStalled);
-      }
+      CompleteTransmit(TxStatus::kAdapterStalled);
     });
     return true;
   }
@@ -48,24 +46,31 @@ bool TokenRingAdapter::IssueTransmit(Frame frame, std::function<void(TxStatus)> 
   // Card DMA pulls the packet out of the host fixed DMA buffer, then the wire transmission
   // is requested. Completion (and the destination's copy acknowledgment) arrives at
   // hardware-interrupt time via on_complete.
-  tx_dma_.Transfer(frame.payload_bytes, config_.dma_buffer_kind,
-                   [this, frame = std::move(frame), on_complete = std::move(on_complete)]() mutable {
-                     machine_->sim()->telemetry().journeys.Stamp(
-                         frame.journey, JourneyStage::kAdapterDma, machine_->sim()->Now());
-                     ring_->RequestTransmit(
-                         std::move(frame),
-                         [this, on_complete = std::move(on_complete)](TxStatus status) {
-                           tx_busy_ = false;
-                           if (Delivered(status)) {
-                             ++frames_transmitted_;
-                             frames_transmitted_counter_->Increment();
-                           }
-                           if (on_complete) {
-                             on_complete(status);
-                           }
-                         });
-                   });
+  const int64_t bytes = frame.payload_bytes;
+  tx_frame_ = std::move(frame);
+  tx_dma_.Transfer(bytes, config_.dma_buffer_kind, [this]() { OnTxDmaComplete(); });
   return true;
+}
+
+void TokenRingAdapter::OnTxDmaComplete() {
+  machine_->sim()->telemetry().journeys.Stamp(tx_frame_.journey, JourneyStage::kAdapterDma,
+                                              machine_->sim()->Now());
+  ring_->RequestTransmit(std::move(tx_frame_), [this](TxStatus status) {
+    tx_busy_ = false;
+    if (Delivered(status)) {
+      ++frames_transmitted_;
+      frames_transmitted_counter_->Increment();
+    }
+    CompleteTransmit(status);
+  });
+}
+
+void TokenRingAdapter::CompleteTransmit(TxStatus status) {
+  // Moved out first: the driver's callback may start the next transmit.
+  std::function<void(TxStatus)> on_complete = std::move(tx_on_complete_);
+  if (on_complete) {
+    on_complete(status);
+  }
 }
 
 void TokenRingAdapter::InjectTxStall(SimDuration duration) {

@@ -111,6 +111,8 @@ class TokenRingAdapter {
   DmaEngine& rx_dma() { return rx_dma_; }
 
  private:
+  void OnTxDmaComplete();
+  void CompleteTransmit(TxStatus status);
   void TryStartRxDma();
 
   Machine* machine_;
@@ -121,6 +123,11 @@ class TokenRingAdapter {
   DmaEngine rx_dma_;
 
   bool tx_busy_ = false;
+  // The one transmit in progress while tx_busy_ (the driver serializes them): the frame
+  // until its DMA completes and the driver's completion callback until the wire reports
+  // back. Kept here so the DMA and ring completions capture only `this`.
+  Frame tx_frame_;
+  std::function<void(TxStatus)> tx_on_complete_;
   int access_priority_floor_ = 0;
   RxHandler rx_handler_;
   MacHandler mac_handler_;

@@ -99,7 +99,9 @@ struct FrameSlot {
 class PayloadRef {
  public:
   PayloadRef() = default;
-  PayloadRef(const PayloadRef& other);
+  // noexcept so a closure holding a `const Packet` (captured by copy from a `const Packet&`)
+  // still moves without throwing and stays in an InlineFunction's inline buffer.
+  PayloadRef(const PayloadRef& other) noexcept;
   PayloadRef& operator=(const PayloadRef& other);
   PayloadRef(PayloadRef&& other) noexcept : arena_(other.arena_), slot_(other.slot_) {
     other.arena_ = nullptr;
@@ -248,7 +250,7 @@ inline FrameHandle PayloadRef::handle() const {
   return slot_ == nullptr ? FrameHandle{} : FrameHandle{slot_->index, slot_->generation};
 }
 
-inline PayloadRef::PayloadRef(const PayloadRef& other)
+inline PayloadRef::PayloadRef(const PayloadRef& other) noexcept
     : arena_(other.arena_), slot_(other.slot_) {
   if (slot_ != nullptr) {
     ++slot_->refcount;

@@ -1,11 +1,16 @@
-// Small-buffer-optimized move-only callable for the event core.
+// Small-buffer-optimized move-only callable for the event core and the CPU model.
 //
 // The discrete-event hot path schedules millions of short-lived callbacks. `std::function`
 // heap-allocates for any capture beyond its (implementation-defined) tiny inline buffer and
-// drags along copyability machinery the queue never uses. InlineFunction stores captures up
-// to kInlineBytes in place — sized to cover every closure the stack schedules today (a
-// `this` pointer plus a packet descriptor or a couple of shared_ptrs) — and falls back to
-// one heap allocation only for oversized or throwing-move captures.
+// drags along copyability machinery the queue never uses. BasicInlineFunction<N> stores
+// captures up to N bytes in place and falls back to one heap allocation only for oversized
+// or throwing-move captures. A capture that holds a `const` member (a lambda capturing a
+// `const Packet&` by copy) moves through that member's copy constructor, so it stays inline
+// only if that copy constructor is noexcept too.
+//
+// InlineFunction is the event core's instance: 48 bytes, which covers every closure the
+// stack schedules on the event queue (a `this` pointer plus a few scalars or refs). CPU step
+// actions use a larger instance sized for a `this` plus a Packet (Cpu::Action).
 
 #ifndef SRC_SIM_INLINE_FUNCTION_H_
 #define SRC_SIM_INLINE_FUNCTION_H_
@@ -17,17 +22,18 @@
 
 namespace ctms {
 
-class InlineFunction {
+template <size_t kCapacity>
+class BasicInlineFunction {
  public:
-  static constexpr size_t kInlineBytes = 48;
+  static constexpr size_t kInlineBytes = kCapacity;
 
-  InlineFunction() = default;
-  InlineFunction(std::nullptr_t) {}  // NOLINT(google-explicit-constructor)
+  BasicInlineFunction() = default;
+  BasicInlineFunction(std::nullptr_t) {}  // NOLINT(google-explicit-constructor)
 
   template <typename F, typename D = std::decay_t<F>,
-            typename = std::enable_if_t<!std::is_same_v<D, InlineFunction> &&
+            typename = std::enable_if_t<!std::is_same_v<D, BasicInlineFunction> &&
                                         std::is_invocable_r_v<void, D&>>>
-  InlineFunction(F&& f) {  // NOLINT(google-explicit-constructor)
+  BasicInlineFunction(F&& f) {  // NOLINT(google-explicit-constructor)
     if constexpr (sizeof(D) <= kInlineBytes && alignof(D) <= alignof(std::max_align_t) &&
                   std::is_nothrow_move_constructible_v<D>) {
       ::new (static_cast<void*>(storage_)) D(std::forward<F>(f));
@@ -38,14 +44,14 @@ class InlineFunction {
     }
   }
 
-  InlineFunction(InlineFunction&& other) noexcept : ops_(other.ops_) {
+  BasicInlineFunction(BasicInlineFunction&& other) noexcept : ops_(other.ops_) {
     if (ops_ != nullptr) {
       ops_->relocate(other.storage_, storage_);
       other.ops_ = nullptr;
     }
   }
 
-  InlineFunction& operator=(InlineFunction&& other) noexcept {
+  BasicInlineFunction& operator=(BasicInlineFunction&& other) noexcept {
     if (this != &other) {
       Reset();
       ops_ = other.ops_;
@@ -57,10 +63,10 @@ class InlineFunction {
     return *this;
   }
 
-  InlineFunction(const InlineFunction&) = delete;
-  InlineFunction& operator=(const InlineFunction&) = delete;
+  BasicInlineFunction(const BasicInlineFunction&) = delete;
+  BasicInlineFunction& operator=(const BasicInlineFunction&) = delete;
 
-  ~InlineFunction() { Reset(); }
+  ~BasicInlineFunction() { Reset(); }
 
   // Requires an engaged function (operator bool).
   void operator()() { ops_->invoke(storage_); }
@@ -109,6 +115,8 @@ class InlineFunction {
   alignas(std::max_align_t) unsigned char storage_[kInlineBytes];
   const Ops* ops_ = nullptr;
 };
+
+using InlineFunction = BasicInlineFunction<48>;
 
 }  // namespace ctms
 

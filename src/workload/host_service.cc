@@ -12,12 +12,11 @@ ControlServiceProcess::ControlServiceProcess(UnixKernel* kernel, UdpLayer* udp, 
 
 void ControlServiceProcess::OnRequest(const Packet& request) {
   ++requests_;
-  Cpu::Job job;
-  job.name = "control-service";
-  job.level = Spl::kNone;
-  job.steps.push_back(Cpu::Step{config_.context_switch, nullptr, Spl::kNone});
-  job.steps.push_back(Cpu::Step{config_.process_cost, nullptr, Spl::kNone});
-  job.on_done = [this, peer = request.src]() {
+  Cpu& cpu = kernel_->machine()->cpu();
+  Cpu::Job job = cpu.NewJob("control-service", Spl::kNone);
+  job.AddStep(config_.context_switch, nullptr, Spl::kNone);
+  job.AddStep(config_.process_cost, nullptr, Spl::kNone);
+  job.set_on_done([this, peer = request.src]() {
     ++replies_;
     Packet reply;
     reply.bytes = rng_.UniformInt(config_.reply_min_bytes, config_.reply_max_bytes);
@@ -25,8 +24,8 @@ void ControlServiceProcess::OnRequest(const Packet& request) {
     reply.port = config_.port;
     reply.created_at = kernel_->sim()->Now();
     udp_->Output(reply);
-  };
-  kernel_->machine()->cpu().SubmitProcess(std::move(job));
+  });
+  cpu.SubmitProcess(std::move(job));
 }
 
 AfsClientDaemon::AfsClientDaemon(UnixKernel* kernel, UdpLayer* udp, Rng rng, Config config)
@@ -55,11 +54,10 @@ void AfsClientDaemon::ScheduleNext() {
   const SimDuration wait = rng_.ExponentialDuration(config_.mean_interval);
   next_event_ = kernel_->sim()->After(wait, [this]() {
     next_event_ = kInvalidEventId;
-    Cpu::Job job;
-    job.name = "afs-keepalive";
-    job.level = Spl::kNone;
-    job.steps.push_back(Cpu::Step{config_.process_cost, nullptr, Spl::kNone});
-    job.on_done = [this]() {
+    Cpu& cpu = kernel_->machine()->cpu();
+    Cpu::Job job = cpu.NewJob("afs-keepalive", Spl::kNone);
+    job.AddStep(config_.process_cost, nullptr, Spl::kNone);
+    job.set_on_done([this]() {
       ++keepalives_sent_;
       Packet keepalive;
       keepalive.bytes = rng_.UniformInt(config_.min_bytes, config_.max_bytes);
@@ -67,8 +65,8 @@ void AfsClientDaemon::ScheduleNext() {
       keepalive.port = config_.port;
       keepalive.created_at = kernel_->sim()->Now();
       udp_->Output(keepalive);
-    };
-    kernel_->machine()->cpu().SubmitProcess(std::move(job));
+    });
+    cpu.SubmitProcess(std::move(job));
     ScheduleNext();
   });
 }

@@ -78,6 +78,17 @@ TEST(FaultPlanTest, RejectsMalformedPlans) {
   EXPECT_FALSE(error.empty());
 }
 
+TEST(FaultPlanTest, RefusesDeepNestingWithoutOverflowingTheStack) {
+  // 100,000 levels used to recurse the parser off the end of the stack (a segfault).
+  std::string error;
+  EXPECT_FALSE(FaultPlan::Parse(std::string(100'000, '['), &error).has_value());
+  EXPECT_EQ(error, "nesting deeper than 64 levels at offset 64");
+  // 64 levels is still parsed; the plan is then refused for its shape, not its depth.
+  const std::string deep = std::string(64, '[') + std::string(64, ']');
+  EXPECT_FALSE(FaultPlan::Parse(deep, &error).has_value());
+  EXPECT_EQ(error.find("nesting"), std::string::npos) << error;
+}
+
 TEST(FaultPlanTest, LoadFileRoundTrips) {
   const std::string path = ::testing::TempDir() + "/fault_plan_test.json";
   {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
 #include <vector>
 
 #include "src/hw/cpu.h"
@@ -7,6 +9,7 @@
 #include "src/hw/machine.h"
 #include "src/hw/memory.h"
 #include "src/sim/simulation.h"
+#include "tests/cpu_time.h"
 
 namespace ctms {
 namespace {
@@ -23,11 +26,9 @@ class CpuTest : public ::testing::Test {
 
 TEST_F(CpuTest, RunsStepsSequentially) {
   std::vector<SimTime> times;
-  Cpu::Job job;
-  job.name = "j";
-  job.level = Spl::kImp;
-  job.steps.push_back(Cpu::Step{Microseconds(10), [&]() { times.push_back(sim_.Now()); }});
-  job.steps.push_back(Cpu::Step{Microseconds(20), [&]() { times.push_back(sim_.Now()); }});
+  Cpu::Job job = cpu_.NewJob("j", Spl::kImp);
+  job.AddStep(Microseconds(10), [&]() { times.push_back(sim_.Now()); });
+  job.AddStep(Microseconds(20), [&]() { times.push_back(sim_.Now()); });
   cpu_.SubmitInterrupt(std::move(job));
   sim_.RunAll();
   ASSERT_EQ(times.size(), 2u);
@@ -54,11 +55,9 @@ TEST_F(CpuTest, SameLevelJobsSerializeFifo) {
 
 TEST_F(CpuTest, HigherLevelPreemptsAtStepBoundary) {
   std::vector<std::string> order;
-  Cpu::Job low;
-  low.name = "low";
-  low.level = Spl::kNet;
-  low.steps.push_back(Cpu::Step{Microseconds(10), [&]() { order.push_back("low1"); }});
-  low.steps.push_back(Cpu::Step{Microseconds(10), [&]() { order.push_back("low2"); }});
+  Cpu::Job low = cpu_.NewJob("low", Spl::kNet);
+  low.AddStep(Microseconds(10), [&]() { order.push_back("low1"); });
+  low.AddStep(Microseconds(10), [&]() { order.push_back("low2"); });
   cpu_.SubmitInterrupt(std::move(low));
   // Arrives mid-first-step; must run between low's steps, not after both.
   sim_.After(Microseconds(5), [&]() {
@@ -70,11 +69,9 @@ TEST_F(CpuTest, HigherLevelPreemptsAtStepBoundary) {
 
 TEST_F(CpuTest, EqualLevelDoesNotPreempt) {
   std::vector<std::string> order;
-  Cpu::Job first;
-  first.name = "first";
-  first.level = Spl::kImp;
-  first.steps.push_back(Cpu::Step{Microseconds(10), [&]() { order.push_back("f1"); }});
-  first.steps.push_back(Cpu::Step{Microseconds(10), [&]() { order.push_back("f2"); }});
+  Cpu::Job first = cpu_.NewJob("first", Spl::kImp);
+  first.AddStep(Microseconds(10), [&]() { order.push_back("f1"); });
+  first.AddStep(Microseconds(10), [&]() { order.push_back("f2"); });
   cpu_.SubmitInterrupt(std::move(first));
   sim_.After(Microseconds(5), [&]() {
     cpu_.SubmitInterrupt("second", Spl::kImp, Microseconds(1), [&]() { order.push_back("s"); });
@@ -86,12 +83,9 @@ TEST_F(CpuTest, EqualLevelDoesNotPreempt) {
 TEST_F(CpuTest, StepSplRaisesEffectiveLevel) {
   // A kNet job with a kHigh protected step defers even a kClock interrupt.
   std::vector<std::string> order;
-  Cpu::Job low;
-  low.name = "low";
-  low.level = Spl::kNet;
-  low.steps.push_back(Cpu::Step{Microseconds(10), [&]() { order.push_back("protected"); },
-                                Spl::kHigh});
-  low.steps.push_back(Cpu::Step{Microseconds(10), [&]() { order.push_back("tail"); }});
+  Cpu::Job low = cpu_.NewJob("low", Spl::kNet);
+  low.AddStep(Microseconds(10), [&]() { order.push_back("protected"); }, Spl::kHigh);
+  low.AddStep(Microseconds(10), [&]() { order.push_back("tail"); });
   cpu_.SubmitInterrupt(std::move(low));
   sim_.After(Microseconds(2), [&]() {
     cpu_.SubmitInterrupt("clock", Spl::kClock, Microseconds(1), [&]() { order.push_back("clk"); });
@@ -103,13 +97,11 @@ TEST_F(CpuTest, StepSplRaisesEffectiveLevel) {
 
 TEST_F(CpuTest, ProcessWorkYieldsToInterrupts) {
   std::vector<std::string> order;
-  Cpu::Job proc;
-  proc.name = "proc";
-  proc.level = Spl::kNone;
+  Cpu::Job proc = cpu_.NewJob("proc", Spl::kNone);
   for (int i = 0; i < 4; ++i) {
-    proc.steps.push_back(Cpu::Step{Microseconds(100), nullptr});
+    proc.AddStep(Microseconds(100));
   }
-  proc.on_done = [&]() { order.push_back("proc"); };
+  proc.set_on_done([&]() { order.push_back("proc"); });
   cpu_.SubmitProcess(std::move(proc));
   sim_.After(Microseconds(150), [&]() {
     cpu_.SubmitInterrupt("intr", Spl::kImp, Microseconds(10), [&]() { order.push_back("intr"); });
@@ -122,11 +114,10 @@ TEST_F(CpuTest, ProcessWorkYieldsToInterrupts) {
 
 TEST_F(CpuTest, PreemptedJobResumesAfterInterrupt) {
   SimTime done_at = -1;
-  Cpu::Job proc;
-  proc.name = "proc";
-  proc.steps.push_back(Cpu::Step{Microseconds(100), nullptr});
-  proc.steps.push_back(Cpu::Step{Microseconds(100), nullptr});
-  proc.on_done = [&]() { done_at = sim_.Now(); };
+  Cpu::Job proc = cpu_.NewJob("proc", Spl::kNone);
+  proc.AddStep(Microseconds(100));
+  proc.AddStep(Microseconds(100));
+  proc.set_on_done([&]() { done_at = sim_.Now(); });
   cpu_.SubmitProcess(std::move(proc));
   sim_.After(Microseconds(50), [&]() {
     cpu_.SubmitInterrupt("intr", Spl::kImp, Microseconds(30), nullptr);
@@ -146,21 +137,24 @@ TEST_F(CpuTest, ContentionStretchesSteps) {
 }
 
 TEST_F(CpuTest, BusyAccounting) {
+  // Per-job CPU time comes from the step spans on the CPU's trace track.
+  sim_.telemetry().tracer.set_enabled(true);
   cpu_.SubmitInterrupt("a", Spl::kImp, Microseconds(30), nullptr);
   cpu_.SubmitInterrupt("b", Spl::kImp, Microseconds(70), nullptr);
   sim_.RunAll();
   EXPECT_EQ(cpu_.busy_time(), Microseconds(100));
-  EXPECT_EQ(cpu_.busy_by_job().at("a"), Microseconds(30));
-  EXPECT_EQ(cpu_.busy_by_job().at("b"), Microseconds(70));
+  const std::map<std::string, SimDuration> by_job =
+      CpuTimeByJob(sim_.telemetry().tracer, "cpu.cpu");
+  EXPECT_EQ(by_job.at("a"), Microseconds(30));
+  EXPECT_EQ(by_job.at("b"), Microseconds(70));
   EXPECT_EQ(cpu_.jobs_completed(), 2u);
   EXPECT_DOUBLE_EQ(cpu_.Utilization(), 1.0);
 }
 
 TEST_F(CpuTest, EmptyJobCompletes) {
   bool done = false;
-  Cpu::Job job;
-  job.name = "empty";
-  job.on_done = [&]() { done = true; };
+  Cpu::Job job = cpu_.NewJob("empty", Spl::kNone);
+  job.set_on_done([&]() { done = true; });
   cpu_.SubmitProcess(std::move(job));
   sim_.RunAll();
   EXPECT_TRUE(done);
@@ -169,22 +163,18 @@ TEST_F(CpuTest, EmptyJobCompletes) {
 
 TEST_F(CpuTest, NestedPreemptionResumesInLevelOrder) {
   std::vector<std::string> order;
-  Cpu::Job base;
-  base.name = "base";
-  base.level = Spl::kNone;
+  Cpu::Job base = cpu_.NewJob("base", Spl::kNone);
   for (int i = 0; i < 3; ++i) {
-    base.steps.push_back(Cpu::Step{Microseconds(100), nullptr});
+    base.AddStep(Microseconds(100));
   }
-  base.on_done = [&]() { order.push_back("base"); };
+  base.set_on_done([&]() { order.push_back("base"); });
   cpu_.SubmitProcess(std::move(base));
   // kNet arrives during base's first step; kClock arrives during kNet's work.
   sim_.After(Microseconds(50), [&]() {
-    Cpu::Job net;
-    net.name = "net";
-    net.level = Spl::kNet;
-    net.steps.push_back(Cpu::Step{Microseconds(100), nullptr, Spl::kNet});
-    net.steps.push_back(Cpu::Step{Microseconds(100), nullptr, Spl::kNet});
-    net.on_done = [&]() { order.push_back("net"); };
+    Cpu::Job net = cpu_.NewJob("net", Spl::kNet);
+    net.AddStep(Microseconds(100), nullptr, Spl::kNet);
+    net.AddStep(Microseconds(100), nullptr, Spl::kNet);
+    net.set_on_done([&]() { order.push_back("net"); });
     cpu_.SubmitInterrupt(std::move(net));
   });
   sim_.After(Microseconds(150), [&]() {

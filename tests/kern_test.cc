@@ -273,25 +273,22 @@ class KernelFixture : public ::testing::Test {
 
 TEST_F(KernelFixture, CopyStepsTotalIsExact) {
   // 2000 bytes at 1 us/byte must total exactly 2000 us across chunked steps.
-  std::vector<Cpu::Step> steps = kernel_.CopySteps(2000, MemoryKind::kSystemMemory,
-                                                   MemoryKind::kIoChannelMemory, Spl::kImp);
-  SimDuration total = 0;
-  for (const auto& step : steps) {
-    total += step.duration;
-  }
-  EXPECT_EQ(total, Microseconds(2000));
-  EXPECT_EQ(steps.size(), 4u);  // 512-byte chunks
+  Cpu::Job job = machine_.cpu().NewJob("copy", Spl::kImp);
+  kernel_.CopySteps(&job, 2000, MemoryKind::kSystemMemory, MemoryKind::kIoChannelMemory,
+                    Spl::kImp);
   EXPECT_EQ(machine_.copies().cpu_copies(), 1u);
+  machine_.cpu().SubmitProcess(std::move(job));
+  sim_.RunAll();
+  EXPECT_EQ(machine_.cpu().busy_time(), Microseconds(2000));
+  EXPECT_EQ(sim_.telemetry().metrics.GetCounter("cpu.m.steps_executed")->value(),
+            4u);  // 512-byte chunks
 }
 
 TEST_F(KernelFixture, CopyStepsOnDoneRunsOnce) {
   int done = 0;
-  std::vector<Cpu::Step> steps = kernel_.CopySteps(
-      1000, MemoryKind::kSystemMemory, MemoryKind::kSystemMemory, Spl::kNet, [&]() { ++done; });
-  Cpu::Job job;
-  job.name = "copy";
-  job.level = Spl::kNet;
-  job.steps = std::move(steps);
+  Cpu::Job job = machine_.cpu().NewJob("copy", Spl::kNet);
+  kernel_.CopySteps(&job, 1000, MemoryKind::kSystemMemory, MemoryKind::kSystemMemory,
+                    Spl::kNet, [&]() { ++done; });
   machine_.cpu().SubmitInterrupt(std::move(job));
   sim_.RunAll();
   EXPECT_EQ(done, 1);
@@ -299,12 +296,9 @@ TEST_F(KernelFixture, CopyStepsOnDoneRunsOnce) {
 
 TEST_F(KernelFixture, ZeroByteCopyStillRunsOnDone) {
   bool done = false;
-  std::vector<Cpu::Step> steps = kernel_.CopySteps(0, MemoryKind::kSystemMemory,
-                                                   MemoryKind::kSystemMemory, Spl::kNone,
-                                                   [&]() { done = true; });
-  Cpu::Job job;
-  job.name = "copy0";
-  job.steps = std::move(steps);
+  Cpu::Job job = machine_.cpu().NewJob("copy0", Spl::kNone);
+  kernel_.CopySteps(&job, 0, MemoryKind::kSystemMemory, MemoryKind::kSystemMemory, Spl::kNone,
+                    [&]() { done = true; });
   machine_.cpu().SubmitProcess(std::move(job));
   sim_.RunAll();
   EXPECT_TRUE(done);

@@ -302,6 +302,25 @@ TEST(IntervalAnalyzerTest, DuplicateKeepsFirstObservation) {
   EXPECT_EQ(diffs[0], Microseconds(10740));
 }
 
+TEST(IntervalAnalyzerTest, MatchedDifferenceIsInSeqOrderWhateverTheEventOrder) {
+  // Retransmissions reach a probe point out of sequence order; each seq still pairs its
+  // first observation at both points, and the output is ordered by seq.
+  std::vector<ProbeEvent> events = {
+      {ProbePoint::kPreTransmit, 7, Microseconds(100)},
+      {ProbePoint::kPreTransmit, 3, Microseconds(200)},
+      {ProbePoint::kRxClassified, 3, Microseconds(1200)},
+      {ProbePoint::kPreTransmit, 7, Microseconds(300)},  // retransmission of 7
+      {ProbePoint::kRxClassified, 7, Microseconds(1400)},
+      {ProbePoint::kRxClassified, 3, Microseconds(5000)},  // duplicate of 3
+      {ProbePoint::kPreTransmit, 5, Microseconds(6000)},   // never received
+  };
+  const std::vector<SimDuration> diffs =
+      MatchedDifference(events, ProbePoint::kPreTransmit, ProbePoint::kRxClassified);
+  ASSERT_EQ(diffs.size(), 2u);
+  EXPECT_EQ(diffs[0], Microseconds(1000));  // seq 3
+  EXPECT_EQ(diffs[1], Microseconds(1300));  // seq 7, from its first pre-transmit
+}
+
 TEST(IntervalAnalyzerTest, BuildPaperHistogramsFillsAllSeven) {
   std::vector<ProbeEvent> events;
   for (uint32_t i = 1; i <= 3; ++i) {

@@ -11,6 +11,7 @@
 #include "src/proto/tcp_lite.h"
 #include "src/proto/udp.h"
 #include "src/sim/simulation.h"
+#include "tests/cpu_time.h"
 
 namespace ctms {
 namespace {
@@ -145,6 +146,7 @@ TEST_F(ProtoFixture, ArpIgnoresRequestForOtherAddress) {
 }
 
 TEST_F(ProtoFixture, IpOutputChargesHeaderRecomputePerPacket) {
+  sim_.telemetry().tracer.set_enabled(true);  // per-job CPU time comes from step spans
   arp_.InstallStatic(9);
   Packet packet;
   packet.bytes = 2000;
@@ -156,7 +158,7 @@ TEST_F(ProtoFixture, IpOutputChargesHeaderRecomputePerPacket) {
   // Both output cost and the per-packet Token Ring header recompute were charged.
   const SimDuration per_packet =
       IpLayer::Config{}.output_cost + IpLayer::Config{}.header_recompute;
-  EXPECT_EQ(machine_.cpu().busy_by_job().at("ip-output"), 2 * per_packet);
+  EXPECT_EQ(CpuTimeByJob(sim_.telemetry().tracer, "cpu.m").at("ip-output"), 2 * per_packet);
   EXPECT_EQ(ip_.packets_out(), 2u);
 }
 

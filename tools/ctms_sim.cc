@@ -71,7 +71,7 @@ void PrintUsage() {
       "  --period-ms=N         device interrupt period (default 12)\n"
       "  --memory=iocm|system  fixed DMA buffer placement\n"
       "  --no-driver-priority  CTMSP shares if_snd with ARP/IP\n"
-      "  --ring-priority=N     Token Ring access priority, 0=off (default 6)\n"
+      "  --ring-priority=N     Token Ring access priority 0-7, 0=off (default 6)\n"
       "  --zero-copy           pointer-passing transmit (router: zero-copy forwarding)\n"
       "  --retransmit          MAC-receive purge recovery\n"
       "  --insertions=MINUTES  mean minutes between station insertions (0=off)\n"
