@@ -1,19 +1,9 @@
 // Scaling microbenchmark of the sharded fabric's conservative-lookahead rounds.
 //
-// Two sweeps over a ring-of-rings fabric:
-//
-//   shards  — events/sec as the fabric grows (1, 2, 4, 8 shards at --jobs=1): does
-//             per-event cost stay flat as rings are added, or do the sync rounds eat it?
-//   threads — events/sec for the fixed 8-shard fabric at jobs = 1, 2, 4, 8, plus the
-//             parallel speedup over the single-threaded run. Because the determinism
-//             contract makes every jobs value execute the identical event sequence, the
-//             ratio is a pure measurement of the shard pool: barrier overhead vs. the
-//             per-window work it parallelizes.
-//
-// The sync-round count is also emitted — rounds ~= duration / link latency, the knob
-// that trades lookahead for barrier frequency. Speedup depends on the host: on fewer
-// cores than jobs the ratio dips below 1 (oversubscription), which is expected and not
-// gated; the hard failure here is event-sequence divergence across thread counts.
+// Events/sec for a ring-of-rings fabric as it grows (1, 2, 4, 8 shards): does per-event
+// cost stay flat as rings are added, or do the sync rounds eat it? The 8-shard run's
+// sync-round count is also emitted — rounds ~= duration / link latency, the knob that
+// trades lookahead for the number of rounds.
 //
 // Emits the human table plus one JSON line per headline number; --json=PATH additionally
 // writes the JSON lines to PATH (CI saves it as BENCH_fabric.json). --smoke shortens the
@@ -32,19 +22,17 @@ namespace ctms {
 namespace {
 
 struct Sample {
-  int64_t jobs;
   double events_per_sec;
   uint64_t events;
   uint64_t rounds;
 };
 
-Sample RunOnce(int64_t rings, int64_t jobs, SimDuration duration) {
+Sample RunOnce(int64_t rings, SimDuration duration) {
   FabricConfig config;
   config.topology = FabricTopology::kRingOfRings;
   config.rings = rings;
   config.stations_per_ring = 16;
   config.duration = duration;
-  config.jobs = jobs;
   FabricExperiment experiment(config);
   const auto start = std::chrono::steady_clock::now();
   const FabricReport report = experiment.Run();
@@ -53,7 +41,7 @@ Sample RunOnce(int64_t rings, int64_t jobs, SimDuration duration) {
   if (!report.Healthy()) {
     std::fputs("bench fabric run was not healthy\n", stderr);
   }
-  return Sample{jobs, static_cast<double>(report.events_executed) / seconds,
+  return Sample{static_cast<double>(report.events_executed) / seconds,
                 report.events_executed, report.sync_rounds};
 }
 
@@ -77,10 +65,11 @@ int main(int argc, char** argv) {
   const SimDuration duration = smoke ? Seconds(2) : Seconds(20);
 
   std::string json;
-  PrintHeader("micro_fabric — ring-of-rings, events/sec vs shard count (--jobs=1)");
+  PrintHeader("micro_fabric — ring-of-rings, events/sec vs shard count");
   std::printf("  %-8s %16s %12s %10s\n", "shards", "events/sec", "events", "rounds");
+  uint64_t rounds = 0;  // of the last, 8-shard run
   for (const int64_t rings : {int64_t{1}, int64_t{2}, int64_t{4}, int64_t{8}}) {
-    const Sample sample = RunOnce(rings, 1, duration);
+    const Sample sample = RunOnce(rings, duration);
     std::printf("  %-8lld %16.0f %12llu %10llu\n", static_cast<long long>(rings),
                 sample.events_per_sec, static_cast<unsigned long long>(sample.events),
                 static_cast<unsigned long long>(sample.rounds));
@@ -90,39 +79,12 @@ int main(int argc, char** argv) {
                   "\"value\":%.0f}\n",
                   static_cast<long long>(rings), sample.events_per_sec);
     json += line;
-  }
-
-  PrintHeader("micro_fabric — 8-shard ring-of-rings, events/sec vs shard-pool threads");
-  const Sample baseline = RunOnce(8, 1, duration);
-  std::printf("  %-8s %16s %10s %10s\n", "jobs", "events/sec", "speedup", "rounds");
-  for (const int64_t jobs : {int64_t{1}, int64_t{2}, int64_t{4}, int64_t{8}}) {
-    const Sample sample = jobs == 1 ? baseline : RunOnce(8, jobs, duration);
-    if (sample.events != baseline.events || sample.rounds != baseline.rounds) {
-      // Same seed + same config must execute the identical event sequence at every
-      // thread count; a divergence here is a determinism bug, not a bench artifact.
-      std::fprintf(stderr, "jobs=%lld diverged: %llu events / %llu rounds vs baseline\n",
-                   static_cast<long long>(jobs),
-                   static_cast<unsigned long long>(sample.events),
-                   static_cast<unsigned long long>(sample.rounds));
-      return 1;
-    }
-    const double speedup = sample.events_per_sec / baseline.events_per_sec;
-    std::printf("  %-8lld %16.0f %9.2fx %10llu\n", static_cast<long long>(jobs),
-                sample.events_per_sec, speedup,
-                static_cast<unsigned long long>(sample.rounds));
-    char line[256];
-    std::snprintf(line, sizeof(line),
-                  "{\"bench\":\"fabric\",\"metric\":\"jobs%lld_events_per_sec\","
-                  "\"value\":%.0f}\n"
-                  "{\"bench\":\"fabric\",\"metric\":\"jobs%lld_speedup\",\"value\":%.3f}\n",
-                  static_cast<long long>(jobs), sample.events_per_sec,
-                  static_cast<long long>(jobs), speedup);
-    json += line;
+    rounds = sample.rounds;
   }
   char line[128];
   std::snprintf(line, sizeof(line),
                 "{\"bench\":\"fabric\",\"metric\":\"sync_rounds\",\"value\":%llu}\n",
-                static_cast<unsigned long long>(baseline.rounds));
+                static_cast<unsigned long long>(rounds));
   json += line;
   std::fputs(json.c_str(), stdout);
   if (!json_path.empty()) {

@@ -168,12 +168,12 @@ constexpr int kTrain = 8;  // packets pushed per queue drain, a bridge packet tr
 // carrier, which pays at every hop: make_shared + an atomic refcount pair per queue copy
 // versus a free-list pop + a plain increment per queue copy.
 //
-// Process state matters: both loops run with the shard pool's worker thread parked (see
-// main), because that is the state the production hot path runs in — the fabric's
-// ShardPool threads are alive for the whole run. In a single-threaded process, glibc sets
+// Process state matters: both loops run with a worker thread parked (see main), because
+// the hot path also runs multi-threaded — in campaign and faultsweep cells on the
+// ParallelFor worker threads. In a single-threaded process, glibc sets
 // __libc_single_threaded and libstdc++ quietly downgrades shared_ptr refcounts to plain
-// increments, which would understate what the legacy carrier actually cost under the
-// fabric by >2x. The arena path does not care (its refcounts are always plain).
+// increments, which would understate what the legacy carrier actually cost in a campaign
+// by >2x. The arena path does not care (its refcounts are always plain).
 
 // One iteration = kTrain packets through the journey. Returns wall-clock seconds.
 double LegacyPathSeconds(uint64_t iterations) {
@@ -379,8 +379,8 @@ int main(int argc, char** argv) {
   PrintHeader("micro_packet_path — zero-copy arena gain + journey recorder overhead gate");
 
   // Part 1: legacy shared_ptr carrier vs the arena handle, identical pool accounting.
-  // A parked worker thread reproduces the fabric's process state (ShardPool alive), so the
-  // shared_ptr side pays the atomic refcounts it really paid there — see the comment on
+  // A parked worker thread reproduces a campaign's process state (worker threads alive), so
+  // the shared_ptr side pays the atomic refcounts it really pays there — see the comment on
   // LegacyPathSeconds.
   const uint64_t train_iters = loop_n / (kTrain * 4);
   double legacy_ns = 0.0;

@@ -22,25 +22,24 @@ echo "=== bench smoke: journey recorder overhead gate ==="
 ./build/bench/micro_packet_path --smoke --json=BENCH_packet_path.json
 echo "wrote BENCH_packet_path.json"
 
-echo "=== bench smoke: fabric shard-pool scaling ==="
-# Exits nonzero if the event sequence diverges across thread counts.
+echo "=== bench smoke: fabric events/sec vs shard count ==="
 ./build/bench/micro_fabric --smoke --json=BENCH_fabric.json
 echo "wrote BENCH_fabric.json"
 
-echo "=== fabric determinism: --jobs=1 vs --jobs=4 byte-diff ==="
-# Same seed, same config, any shard-thread count: the exported run summary must be
-# byte-identical. A diff here is a causality-window bug, not flakiness. jobs=4 is pinned
-# (not nproc) so the threaded shard-pool path runs even on a single-core host.
+echo "=== fabric determinism: campaign --jobs=1 vs --jobs=4 byte-diff ==="
+# Fabric cells with journeys on (cross-shard Detach/Adopt) must merge byte-identically for
+# any worker count. jobs=4 is pinned (not nproc) so the worker threads run even on a
+# single-core host.
 fabric_smoke() {
-  ./build/tools/ctms_sim --experiment=fabric --rings=8 --stations-per-ring=16 \
-      --fabric-topology=ring-of-rings --duration=3 --journeys \
-      --jobs="$1" --metrics-json="$2" > /dev/null
+  ./build/tools/ctms_sim --experiment=campaign --cell-experiment=fabric --rings=8 \
+      --stations-per-ring=16 --fabric-topology=ring-of-rings --journeys \
+      --grid='seed=1:4' --duration=3 --jobs="$1" --metrics-json="$2" > /dev/null
 }
 fabric_smoke 1 fabric-jobs1.json
 fabric_smoke 4 fabric-jobs4.json
 diff fabric-jobs1.json fabric-jobs4.json
 rm -f fabric-jobs1.json fabric-jobs4.json
-echo "fabric run summaries byte-identical across jobs"
+echo "fabric campaign merges byte-identical across jobs"
 
 echo "=== bench smoke: per-class source rate models ==="
 # Exits nonzero if a media class's generated packet rate drifts from its descriptor.
@@ -104,19 +103,20 @@ cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=Debug \
 cmake --build build-asan -j "$(nproc)" --target ctms_tests
 ./build-asan/tests/ctms_tests
 
-echo "=== sanitizers: TSan (campaign/faultsweep worker loop, fabric shard pool) ==="
+echo "=== sanitizers: TSan (campaign/faultsweep worker loop) ==="
 cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=Debug \
       -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-omit-frame-pointer"
 cmake --build build-tsan -j "$(nproc)" --target ctms_tests ctms_sim_cli
 # The campaign and faultsweep tests run the shared ParallelFor worker loop (jobs up to 8)
-# from both of its callers, and the fabric determinism tests run real shard pools; the CLI
-# runs below pin all three end-to-end paths at --jobs=4.
+# from both of its callers, with ctms, multistream and fabric cells; the CLI runs below pin
+# scenario, faultsweep and fabric cells end to end at --jobs=4.
 ./build-tsan/tests/ctms_tests --gtest_filter='Campaign*:FaultSweep*:Fabric*'
 ./build-tsan/tools/ctms_sim --experiment=campaign --grid='seed=1:4' --jobs=4 --duration=1 \
     > /dev/null
 ./build-tsan/tools/ctms_sim --experiment=faultsweep --sweep-levels=2 --duration=2 --jobs=4 \
     > /dev/null
-./build-tsan/tools/ctms_sim --experiment=fabric --rings=8 --stations-per-ring=8 \
-    --fabric-topology=ring-of-rings --duration=2 --jobs=4 > /dev/null
+./build-tsan/tools/ctms_sim --experiment=campaign --cell-experiment=fabric --rings=8 \
+    --stations-per-ring=16 --fabric-topology=ring-of-rings --journeys --grid='seed=1:4' \
+    --duration=3 --jobs=4 > /dev/null
 
 echo "=== all gates clean ==="

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "src/core/experiment_registry.h"
+#include "src/sim/time.h"
 
 namespace ctms {
 
@@ -88,7 +89,7 @@ const Flag kFlags[] = {
     {"sweep-levels", &ScenarioConfig::sweep_levels, {"faultsweep"}},
     {"sweep-purges", &ScenarioConfig::sweep_purges, {"faultsweep"}},
     {"sweep-spacing-ms", &ScenarioConfig::sweep_spacing_ms, {"faultsweep"}},
-    {"jobs", &ScenarioConfig::jobs, {"fabric faultsweep campaign"}},
+    {"jobs", &ScenarioConfig::jobs, {"faultsweep campaign"}},
     {"grid", &ScenarioConfig::grid_spec, {"campaign"}},
     {"cell-experiment", &ScenarioConfig::cell_experiment, {"campaign"}},
     {"independent-faults", &ScenarioConfig::independent_faults, {"campaign"}},
@@ -215,6 +216,14 @@ const std::vector<ChoiceCheck>& ChoiceChecks() {
   return checks;
 }
 
+// The longest simulated span a time flag may name, ~11.6 days: far above the longest run in
+// the repo (3,600 s), and small enough that no converter's multiply into nanoseconds, nor a
+// sum of a few such spans, can overflow SimTime.
+constexpr SimDuration kLongestSimulatedSpan = Seconds(1'000'000);
+
+// The largest value of a time flag counted in `unit`.
+constexpr int64_t MaxTimeIn(SimDuration unit) { return kLongestSimulatedSpan / unit; }
+
 // A numeric flag with an inclusive valid range.
 struct RangeCheck {
   const char* name;
@@ -225,33 +234,33 @@ struct RangeCheck {
 };
 
 const RangeCheck kRangeChecks[] = {
-    {"duration", &ScenarioConfig::duration_s, 1, INT64_MAX,
-     "--duration must be a positive number of seconds"},
+    {"duration", &ScenarioConfig::duration_s, 1, MaxTimeIn(kSecond), nullptr},
     {"packet-bytes", &ScenarioConfig::packet_bytes, 1, INT64_MAX,
      "--packet-bytes must be positive"},
-    {"period-ms", &ScenarioConfig::period_ms, 1, INT64_MAX, "--period-ms must be positive"},
+    {"period-ms", &ScenarioConfig::period_ms, 1, MaxTimeIn(kMillisecond), nullptr},
     {"streams", &ScenarioConfig::streams, 1, 16, nullptr},
     {"clients", &ScenarioConfig::clients, 1, 16, nullptr},
     {"retry-budget", &ScenarioConfig::retry_budget, 0, 1000, nullptr},
-    {"retry-backoff-ms", &ScenarioConfig::retry_backoff_ms, 0, INT64_MAX,
-     "--retry-backoff-ms must be non-negative"},
+    {"retry-backoff-ms", &ScenarioConfig::retry_backoff_ms, 0, MaxTimeIn(kMillisecond),
+     nullptr},
     {"sweep-levels", &ScenarioConfig::sweep_levels, 2, 16,
      "--sweep-levels must be between 2 and 16 (level 0 is the fault-free reference)"},
     {"sweep-purges", &ScenarioConfig::sweep_purges, 1, 1000, nullptr},
-    {"sweep-spacing-ms", &ScenarioConfig::sweep_spacing_ms, 1, INT64_MAX,
-     "--sweep-spacing-ms must be positive"},
+    {"sweep-spacing-ms", &ScenarioConfig::sweep_spacing_ms, 1, MaxTimeIn(kMillisecond),
+     nullptr},
     {"fec-group", &ScenarioConfig::fec_group, 1, 32,
      "--fec-group must be between 1 and 32 (the parity coverage mask is 32 bits)"},
-    {"nack-delay-us", &ScenarioConfig::nack_delay_us, 0, INT64_MAX,
-     "--nack-delay-us must be non-negative"},
+    {"nack-delay-us", &ScenarioConfig::nack_delay_us, 0, MaxTimeIn(kMicrosecond), nullptr},
     {"jobs", &ScenarioConfig::jobs, 1, 64, nullptr},
     {"chain-hops", &ScenarioConfig::chain_hops, 1, 8, nullptr},
     {"ring-priority", &ScenarioConfig::ring_priority, 0, 7,
      "--ring-priority must be between 0 and 7 (802.5 has eight access priorities)"},
     {"rings", &ScenarioConfig::rings, 1, 64, nullptr},
     {"stations-per-ring", &ScenarioConfig::stations_per_ring, 2, 4096, nullptr},
-    {"link-latency-us", &ScenarioConfig::link_latency_us, 1, INT64_MAX,
-     "--link-latency-us must be positive (it is the fabric lookahead window)"},
+    {"link-latency-us", &ScenarioConfig::link_latency_us, 1, MaxTimeIn(kMicrosecond),
+     nullptr},
+    {"insertions", &ScenarioConfig::insertion_mean_min, 0, MaxTimeIn(kMinute), nullptr},
+    {"bin-us", &ScenarioConfig::bin_us, 1, MaxTimeIn(kMicrosecond), nullptr},
     {"histogram", &ScenarioConfig::histogram, 0, 7,
      "--histogram must be between 1 and 7, or 0 for none"},
     {"flight-recorder", &ScenarioConfig::flight_recorder, 1, 1'000'000, nullptr},
@@ -520,7 +529,6 @@ FabricConfig FabricConfigFrom(const ScenarioConfig& cli) {
   config.topology =
       ParseFabricTopology(cli.fabric_topology).value_or(FabricTopology::kRingOfRings);
   config.link_latency = Microseconds(cli.link_latency_us);
-  config.jobs = cli.jobs;
   config.packet_bytes = cli.packet_bytes;
   config.packet_period = Milliseconds(cli.period_ms);
   config.workload = ScenarioWorkload(cli);  // classes round-robin over the per-shard flows

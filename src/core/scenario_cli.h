@@ -94,7 +94,7 @@ struct ScenarioConfig {
   int64_t sweep_spacing_ms = 4;   // within-storm purge spacing
 
   // --- campaign ------------------------------------------------------------------------
-  int64_t jobs = 1;                      // worker threads (campaign cells / fabric shards)
+  int64_t jobs = 1;                      // worker threads (campaign / faultsweep cells)
   std::string grid_spec;                 // e.g. "seed=1:4;streams=1,2,4"
   std::string cell_experiment = "ctms";  // experiment each grid point runs
   bool independent_faults = false;       // per-run fault RNG salt (FaultPlan::set_rng_salt)

@@ -138,8 +138,8 @@ Station* FabricExperiment::BridgeFor(int shard, int link) const {
 }
 
 void FabricExperiment::OnCapture(int shard, int link, const Packet& packet) {
-  // Runs inside the shard's event window, possibly on a pool thread: touch only this
-  // shard's state. The cross-shard work happens in DeliverOutboxes after the barrier.
+  // Runs inside the shard's event window: touch only this shard's state. The cross-shard
+  // work happens in DeliverOutboxes once every window of the round has run.
   Shard& s = shards_[static_cast<size_t>(shard)];
   OutboxEntry entry;
   entry.link = link;
@@ -155,10 +155,10 @@ void FabricExperiment::OnCapture(int shard, int link, const Packet& packet) {
 }
 
 void FabricExperiment::DeliverOutboxes() {
-  // Runs single-threaded between sync rounds, in fixed (shard, capture) order — the only
-  // place payload handles cross a shard boundary. Consecutive entries bound for the same
-  // shard at the same arrival instant (a packet train crossing one bridge) are batched
-  // into a single event: same delivery order, one queue insertion per train.
+  // Runs between sync rounds, in fixed (shard, capture) order — the only place payload
+  // handles cross a shard boundary. Consecutive entries bound for the same shard at the
+  // same arrival instant (a packet train crossing one bridge) are batched into a single
+  // event: same delivery order, one queue insertion per train.
   struct Delivery {
     TokenRingDriver* driver;
     Packet packet;
@@ -192,7 +192,7 @@ void FabricExperiment::DeliverOutboxes() {
       Packet packet = std::move(entry.packet);
       // Re-home the payload under the destination shard's arena (fresh slot, no mbuf
       // charge — the source already credited its pool at transmit), then drop the origin-
-      // shard reference here, on the drain thread, where touching it is race-free.
+      // shard reference.
       PayloadRef origin_ref = std::move(packet.payload);
       packet.payload = target.topo->sim().frames().Adopt(origin_ref);
       origin_ref.reset();
@@ -237,7 +237,6 @@ FabricReport FabricExperiment::Run() {
   }
 
   const SimTime end = config_.duration;
-  ShardPool pool(static_cast<size_t>(config_.jobs));
   std::vector<SimTime> horizon(shards_.size(), 0);
   uint64_t rounds = 0;
   while (true) {
@@ -248,8 +247,8 @@ FabricReport FabricExperiment::Run() {
     if (all_done) {
       break;
     }
-    // Horizons from the parked-clock snapshot — reading them after the next windows start
-    // would race AND break the causality argument in the header comment.
+    // Every horizon comes from the round-start clock snapshot: computing one after an
+    // earlier shard's window has run would break the causality argument in the header.
     for (size_t i = 0; i < shards_.size(); ++i) {
       SimTime h = end;
       for (int k : shards_[i].links) {
@@ -260,9 +259,9 @@ FabricReport FabricExperiment::Run() {
       }
       horizon[i] = h;
     }
-    pool.RunRound(shards_.size(), [&](size_t i) {
+    for (size_t i = 0; i < shards_.size(); ++i) {
       shards_[i].topo->sim().RunUntilBefore(horizon[i]);
-    });
+    }
     ++rounds;
     DeliverOutboxes();
   }
@@ -335,8 +334,8 @@ std::string FabricReport::Summary() const {
     link_drops += hop.queue_drops;
   }
   os << "fabric (" << FabricTopologyName(config.topology) << ", " << config.rings
-     << " rings x " << config.stations_per_ring << " stations, jobs=" << config.jobs
-     << "): " << (Healthy() ? "HEALTHY" : "DEGRADED") << "\n";
+     << " rings x " << config.stations_per_ring << " stations): "
+     << (Healthy() ? "HEALTHY" : "DEGRADED") << "\n";
   os << "  " << packets_built << " built, " << packets_delivered << " delivered, "
      << packets_lost << " lost, " << sink_underruns << " underruns; " << link_packets
      << " link transfers, " << link_drops << " bridge drops\n";

@@ -4,30 +4,31 @@
 // recorder (PR 6).
 //
 // A Fabric owns N ring shards. Each shard is a complete RingTopology — its own Simulation,
-// event core, Token Ring, stations, background traffic — so shards share no mutable state
-// and can run on different threads. Shards are joined by latency-bounded inter-ring links:
-// a bridge station on each side captures CTMSP packets addressed to it (CtmspTap) and the
-// fabric re-injects them on the far shard `link_latency` later, addressed to the next
-// bridge on the route (or the destination sink).
+// event core, Token Ring, stations, background traffic — so shards share no mutable state.
+// Shards are joined by latency-bounded inter-ring links: a bridge station on each side
+// captures CTMSP packets addressed to it (CtmspTap) and the fabric re-injects them on the
+// far shard `link_latency` later, addressed to the next bridge on the route (or the
+// destination sink).
 //
 // Synchronization is conservative-lookahead (Chandy–Misra–Bryant flavored). Rounds:
-//   1. With all shards parked (barrier), compute each shard's safe horizon
+//   1. Compute each shard's safe horizon
 //        H_i = min(duration, min over incident links (clock_j + link_latency))
 //      from the clock snapshot — a neighbor can send nothing that arrives before that.
-//   2. Run every shard's window Simulation::RunUntilBefore(H_i) in parallel (ShardPool).
-//   3. Barrier; drain outboxes in fixed order (shard, then capture order) and schedule the
-//      arrivals with At(arrival) on the receiving shards.
+//   2. Run every shard's window Simulation::RunUntilBefore(H_i), in shard order.
+//   3. Drain outboxes in fixed order (shard, then capture order) and schedule the arrivals
+//      with At(arrival) on the receiving shards.
 // Causality: a packet captured at local time t (>= the sender's round-start clock C_i)
 // arrives at t + latency >= C_i + latency >= H_j, and shard j executed only events < H_j
-// with its clock parked at exactly H_j — so the post-barrier At() is always legal.
+// with its clock parked at exactly H_j — so the drain's At() is always legal.
 // Liveness: the minimum-clock shard always has H > clock (latency > 0), so every round
 // advances global time and the run terminates in ~duration/latency rounds.
 //
-// Determinism invariant (pinned by FabricDeterminism tests and the check.sh diff stage):
-// same seed => bit-identical reports and merged metrics at ANY --jobs value. During a
+// Rounds run on one thread: a 16x64 round holds ~57 events across all shards, too little
+// work to pay for waking worker threads 40,000 times a run, so parallelism lives one level
+// up, in campaign cells. Determinism (pinned by the golden-equivalence and campaign
+// determinism tests): same seed => bit-identical reports and merged metrics. During a
 // window a shard touches only its own Simulation and appends to its own outbox; everything
-// cross-shard happens single-threaded between rounds, in index order. The thread count
-// can only change wall-clock speed.
+// cross-shard happens between windows, in index order.
 
 #ifndef SRC_FABRIC_FABRIC_H_
 #define SRC_FABRIC_FABRIC_H_
@@ -40,7 +41,6 @@
 
 #include "src/dev/media_source.h"
 #include "src/fabric/routing.h"
-#include "src/fabric/sync.h"
 #include "src/fault/fault_plan.h"
 #include "src/hw/memory.h"
 #include "src/sim/time.h"
@@ -57,9 +57,6 @@ struct FabricConfig {
   int64_t stations_per_ring = 8;  // total per ring; non-active ones attach passively
   FabricTopology topology = FabricTopology::kRingOfRings;
   SimDuration link_latency = Microseconds(500);  // > 0: it is the lookahead window
-  // Shard worker threads. Changes wall-clock speed only; the report is byte-identical for
-  // every value (the determinism invariant above).
-  int64_t jobs = 1;
 
   int64_t packet_bytes = 2000;
   SimDuration packet_period = Milliseconds(12);
@@ -123,7 +120,8 @@ struct FabricReport {
   std::vector<FabricClassStats> classes;  // first-appearance order; empty when unclassed
 
   bool Healthy() const {
-    return packets_built > 0 && packets_lost == 0 && sink_underruns == 0;
+    return packets_built > 0 && packets_delivered > 0 && packets_lost == 0 &&
+           sink_underruns == 0;
   }
   std::string Summary() const;
 };
@@ -158,8 +156,8 @@ class FabricExperiment {
     int link = 0;
     SimTime arrival = 0;
     // Payload still references the capturing shard's arena (charge-free: mbuf accounting
-    // never crosses a shard boundary); DeliverOutboxes re-homes it via Adopt on the
-    // single-threaded drain.
+    // never crosses a shard boundary); DeliverOutboxes re-homes it via Adopt between
+    // windows.
     Packet packet;
     std::optional<JourneyRecord> journey;
   };
@@ -171,7 +169,7 @@ class FabricExperiment {
     std::vector<int> links;           // incident link indices, ascending
     std::vector<Station*> bridges;    // parallel to `links`
     std::vector<std::unique_ptr<CtmspTap>> taps;  // parallel to `links`
-    std::vector<OutboxEntry> outbox;  // written only by this shard's window thread
+    std::vector<OutboxEntry> outbox;  // written only during this shard's window
   };
 
   // Directed-hop row index in hop_forwarded_ / the report: 2*link + (from == link.b).

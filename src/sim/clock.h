@@ -2,10 +2,8 @@
 // reason about (and bound) a simulation's progress without touching its event queue.
 //
 // A Simulation owns exactly one Clock and is the only writer. The fabric layer
-// (src/fabric/sync.h) reads shard clocks between synchronization rounds to compute each
-// shard's conservative-lookahead horizon; the barrier between rounds is what makes those
-// cross-thread reads safe, so the Clock itself stays a plain integer with no atomics — the
-// single-shard hot path pays nothing for the seam.
+// (src/fabric/fabric.h) reads shard clocks between synchronization rounds to compute each
+// shard's conservative-lookahead horizon.
 
 #ifndef SRC_SIM_CLOCK_H_
 #define SRC_SIM_CLOCK_H_

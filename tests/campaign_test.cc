@@ -131,11 +131,22 @@ TEST(CampaignDeterminismTest, MergedJsonIsBitIdenticalAcrossJobCounts) {
   EXPECT_NE(jobs1.find("\"runs\": 4"), std::string::npos);
 }
 
+// Other cell experiments merge the same way. The fabric cells run four and five shards
+// with journeys on, so cross-shard Detach/Adopt runs on the worker threads too.
 TEST(CampaignDeterminismTest, MultistreamCellsMergeIdenticallyToo) {
-  ScenarioConfig base = CampaignBase(/*duration_s=*/1);
-  base.cell_experiment = "multistream";
-  const std::string spec = "streams=1,2";
-  EXPECT_EQ(MergedJsonFor(base, spec, 1), MergedJsonFor(base, spec, 4));
+  struct Input {
+    const char* cell_experiment;
+    const char* spec;
+    const char* expected_key;
+  };
+  for (const Input& input : {Input{"multistream", "streams=1,2", "\"runs\": 2"},
+                             Input{"fabric", "journeys=1;rings=4,5", "shard3."}}) {
+    ScenarioConfig base = CampaignBase(/*duration_s=*/1);
+    base.cell_experiment = input.cell_experiment;
+    const std::string jobs1 = MergedJsonFor(base, input.spec, 1);
+    EXPECT_NE(jobs1.find(input.expected_key), std::string::npos) << input.cell_experiment;
+    EXPECT_EQ(jobs1, MergedJsonFor(base, input.spec, 4)) << input.cell_experiment;
+  }
 }
 
 // A synthetic instant job whose record depends only on the job, paired below with a

@@ -61,9 +61,7 @@ void PrintUsage() {
       "  --stations-per-ring=N stations on each shard ring (default 8)\n"
       "  --fabric-topology=T   chain, star, or ring-of-rings (default)\n"
       "  --link-latency-us=N   inter-ring link latency; also the conservative-lookahead\n"
-      "                        window (default 500)\n"
-      "  --jobs=N              shard worker threads; the report is byte-identical for\n"
-      "                        every N (default 1)\n\n"
+      "                        window (default 500)\n\n"
       "stream and environment:\n"
       "  --duration=SECONDS    simulated run length (default 30)\n"
       "  --seed=N              simulation seed (default 1)\n"
