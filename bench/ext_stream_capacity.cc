@@ -3,12 +3,23 @@
 // The paper streams one connection; each 2000-byte/12 ms stream occupies ~34% of the wire,
 // so the capacity question has a sharp answer this bench measures: two streams coexist,
 // a third saturates the ring and all three degrade together (priority is shared, so the
-// failure is fair).
+// failure is fair). Each row is the mediamix experiment with --mix=vca:N.
 
 #include <cstdio>
 
 #include "bench/bench_util.h"
 #include "src/core/ctms.h"
+
+namespace {
+
+// A stream is sustained when it built packets and delivered all but the last two in
+// flight, with no loss, queue drop or playout underrun.
+bool Sustained(const ctms::StreamStats& stats) {
+  return stats.built > 0 && stats.lost == 0 && stats.underruns == 0 &&
+         stats.queue_drops == 0 && stats.delivered + 2 >= stats.built;
+}
+
+}  // namespace
 
 int main() {
   using namespace ctms;
@@ -19,22 +30,24 @@ int main() {
   std::printf("  %-9s %-10s %-12s %-14s %-14s %-16s\n", "-------", "---------", "-------",
               "----------", "---------------", "-----------------");
   for (int n = 1; n <= 4; ++n) {
-    MultiStreamConfig config;
-    config.streams = n;
+    MediaMixConfig config;
+    config.workload = {{"vca", n, 0}};
     config.duration = Seconds(30);
-    MultiStreamExperiment experiment(config);
-    const MultiStreamReport report = experiment.Run();
+    MediaMixExperiment experiment(config);
+    const MediaMixReport report = experiment.Run();
+    bool sustained = true;
     uint64_t worst_lost = 0;
     uint64_t worst_underruns = 0;
     SimDuration worst_latency = 0;
-    for (const StreamQuality& stream : report.streams) {
-      worst_lost = std::max(worst_lost, stream.lost + stream.queue_drops);
-      worst_underruns = std::max(worst_underruns, stream.underruns);
-      worst_latency = std::max(worst_latency, stream.max_latency);
+    for (const MediaMixStreamQuality& stream : report.streams) {
+      const StreamStats& stats = stream.stats;
+      sustained = sustained && Sustained(stats);
+      worst_lost = std::max(worst_lost, stats.lost + stats.queue_drops);
+      worst_underruns = std::max(worst_underruns, stats.underruns);
+      worst_latency = std::max(worst_latency, stats.max_latency);
     }
     std::printf("  %-9d %-10s %-12s %-14llu %-15llu %-16s\n", n,
-                Pct(report.ring_utilization).c_str(),
-                report.AllSustained() ? "SUSTAINED" : "DEGRADED",
+                Pct(report.ring_utilization).c_str(), sustained ? "SUSTAINED" : "DEGRADED",
                 static_cast<unsigned long long>(worst_lost),
                 static_cast<unsigned long long>(worst_underruns),
                 FormatDuration(worst_latency).c_str());

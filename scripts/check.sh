@@ -108,7 +108,7 @@ cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=Debug \
       -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-omit-frame-pointer"
 cmake --build build-tsan -j "$(nproc)" --target ctms_tests ctms_sim_cli
 # The campaign and faultsweep tests run the shared ParallelFor worker loop (jobs up to 8)
-# from both of its callers, with ctms, multistream and fabric cells; the CLI runs below pin
+# from both of its callers, with ctms, mediamix and fabric cells; the CLI runs below pin
 # scenario, faultsweep and fabric cells end to end at --jobs=4.
 ./build-tsan/tests/ctms_tests --gtest_filter='Campaign*:FaultSweep*:Fabric*'
 ./build-tsan/tools/ctms_sim --experiment=campaign --grid='seed=1:4' --jobs=4 --duration=1 \

@@ -1,5 +1,6 @@
 #include "src/campaign/grid.h"
 
+#include <cstdint>
 #include <cstdlib>
 
 namespace ctms {
@@ -38,11 +39,20 @@ bool ParseInt(const std::string& text, int64_t* out) {
 // error rather than a fallthrough — their values are numeric or colon-free, and a silent
 // literal would hide range typos like "1:x8". The `mix` axis is the exception: its values
 // are class[:count[:rate]] specs (entries joined with '+'), so ':' is literal there and the
-// spec's own parser reports malformed values.
-bool ExpandItem(const std::string& axis, const std::string& item,
+// spec's own parser reports malformed values. The axis may hold at most `limit` values; an
+// item that would pass it is refused before any of its values is built.
+bool ExpandItem(const std::string& axis, const std::string& item, size_t limit,
                 std::vector<std::string>* values, std::string* error) {
+  const auto too_many = [&]() {
+    *error = "grid axis '" + axis + "' takes the grid past " + std::to_string(kMaxGridPoints) +
+             " points";
+    return false;
+  };
   const std::vector<std::string> parts = Split(item, ':');
   if (parts.size() == 1 || axis == "mix") {
+    if (values->size() >= limit) {
+      return too_many();
+    }
     values->push_back(item);
     return true;
   }
@@ -62,8 +72,16 @@ bool ExpandItem(const std::string& axis, const std::string& item,
     *error = "bad range '" + item + "' (lo exceeds hi)";
     return false;
   }
-  for (int64_t v = lo; v <= hi; v += step) {
-    values->push_back(std::to_string(v));
+  // hi - lo may not fit in int64_t, so the range is walked in unsigned arithmetic: every
+  // value lies in [lo, hi], and converting it back is exact.
+  const uint64_t steps =
+      (static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo)) / static_cast<uint64_t>(step);
+  if (steps >= limit - values->size()) {
+    return too_many();
+  }
+  for (uint64_t k = 0; k <= steps; ++k) {
+    const uint64_t v = static_cast<uint64_t>(lo) + k * static_cast<uint64_t>(step);
+    values->push_back(std::to_string(static_cast<int64_t>(v)));
   }
   return true;
 }
@@ -89,6 +107,7 @@ std::optional<CampaignGrid> CampaignGrid::Parse(const std::string& spec, std::st
   if (spec.empty()) {
     return grid;
   }
+  size_t points = 1;  // the product of the axes so far, at most kMaxGridPoints
   for (const std::string& axis_spec : Split(spec, ';')) {
     const size_t eq = axis_spec.find('=');
     if (eq == std::string::npos || eq == 0) {
@@ -108,10 +127,11 @@ std::optional<CampaignGrid> CampaignGrid::Parse(const std::string& spec, std::st
         *error = "grid axis '" + axis.name + "' has an empty value";
         return std::nullopt;
       }
-      if (!ExpandItem(axis.name, item, &axis.values, error)) {
+      if (!ExpandItem(axis.name, item, kMaxGridPoints / points, &axis.values, error)) {
         return std::nullopt;
       }
     }
+    points *= axis.values.size();
     grid.axes_.push_back(std::move(axis));
   }
   return grid;

@@ -22,7 +22,6 @@
 #include "src/core/experiment.h"
 #include "src/core/faultsweep.h"
 #include "src/core/media_mix.h"
-#include "src/core/multi_stream.h"
 #include "src/core/quality_controller.h"
 #include "src/core/router.h"
 #include "src/core/server.h"

@@ -162,14 +162,6 @@ ExperimentRun RunBaseline(const ScenarioConfig& config, bool output) {
                 &experiment.topology());
 }
 
-ExperimentRun RunMultiStream(const ScenarioConfig& config, bool output) {
-  MultiStreamExperiment experiment(MultiStreamConfigFrom(config));
-  Telemetry& telemetry = Traced(experiment.sim(), config, output);
-  const MultiStreamReport report = experiment.Run();
-  return Finish(config, output, "multistream", report, report.AllSustained(),
-                {.telemetry = &telemetry}, &experiment.topology());
-}
-
 ExperimentRun RunServer(const ScenarioConfig& config, bool output) {
   ServerExperiment experiment(ServerConfigFrom(config));
   Telemetry& telemetry = Traced(experiment.sim(), config, output);
@@ -217,7 +209,6 @@ ExperimentRun RunFabric(const ScenarioConfig& config, bool output) {
 constexpr ExperimentEntry kRegistry[] = {
     {"ctms", true, RunCtms},
     {"baseline", true, RunBaseline},
-    {"multistream", true, RunMultiStream},
     {"server", true, RunServer},
     {"router", true, RunRouter},
     {"faultsweep", true, RunFaultSweep},

@@ -64,10 +64,8 @@ MediaMixExperiment::MediaMixExperiment(MediaMixConfig config)
   }
 
   BackgroundEnvironment& env = topo_.environment();
-  env.AddMacTraffic(&ring, MacFrameTraffic::Config{config_.mac_fraction});
-  if (config_.background_keepalives) {
-    env.AddKeepaliveChatter(&ring, Milliseconds(120));
-  }
+  env.AddMacTraffic(&ring, MacFrameTraffic::Config{});
+  env.AddKeepaliveChatter(&ring, Milliseconds(120));
 
   topo_.ApplyFaultPlan(config_.faults);
 }

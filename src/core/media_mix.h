@@ -37,8 +37,6 @@ struct MediaMixConfig {
   SimDuration controller_epoch = Milliseconds(100);
   int ring_priority = 6;
   MemoryKind dma_buffer_kind = MemoryKind::kIoChannelMemory;
-  double mac_fraction = 0.002;
-  bool background_keepalives = true;
   SimDuration duration = Seconds(30);
   uint64_t seed = 1;
   FaultPlan faults;

@@ -4,6 +4,12 @@
 #include <utility>
 
 namespace ctms {
+namespace {
+
+constexpr int kFloorPriority = 1;    // worst priority a real-time class can be demoted to
+constexpr int kElasticPriority = 0;  // where elastic (no-deadline) classes are parked
+
+}  // namespace
 
 QualityController::QualityController(Simulation* sim, QualityControllerConfig config)
     : sim_(sim), config_(config) {}
@@ -75,7 +81,7 @@ void QualityController::Epoch() {
   std::vector<ClassState*> realtime;
   for (ClassState& state : classes_) {
     if (state.media_class.elastic) {
-      Apply(&state, config_.elastic_priority);
+      Apply(&state, kElasticPriority);
     } else {
       realtime.push_back(&state);
     }
@@ -89,7 +95,7 @@ void QualityController::Epoch() {
   int priority = config_.top_priority;
   for (ClassState* state : realtime) {
     Apply(state, priority);
-    priority = std::max(config_.floor_priority, priority - 1);
+    priority = std::max(kFloorPriority, priority - 1);
   }
 }
 

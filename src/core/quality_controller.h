@@ -33,9 +33,7 @@ namespace ctms {
 
 struct QualityControllerConfig {
   SimDuration epoch = Milliseconds(100);
-  int top_priority = 6;    // best ring access priority the controller hands out
-  int floor_priority = 1;  // worst priority a real-time class can be demoted to
-  int elastic_priority = 0;  // where elastic (no-deadline) classes are parked
+  int top_priority = 6;  // best ring access priority the controller hands out
 };
 
 class QualityController {

@@ -93,45 +93,6 @@ StatList SummaryStats(const BaselineReport& report) {
   };
 }
 
-StatList SummaryStats(const MultiStreamReport& report) {
-  uint64_t built = 0;
-  uint64_t delivered = 0;
-  uint64_t lost = 0;
-  uint64_t underruns = 0;
-  for (const StreamQuality& stream : report.streams) {
-    built += stream.built;
-    delivered += stream.delivered;
-    lost += stream.lost;
-    underruns += stream.underruns;
-  }
-  StatList stats = {
-      {"streams", static_cast<double>(report.streams.size())},
-      {"packets_built", static_cast<double>(built)},
-      {"packets_delivered", static_cast<double>(delivered)},
-      {"packets_lost", static_cast<double>(lost)},
-      {"sink_underruns", static_cast<double>(underruns)},
-      {"ring_utilization", report.ring_utilization},
-  };
-  // Legacy keys above are golden-pinned; classed workloads (--mix) append per-class rows.
-  ClassAccumulator classes;
-  for (const StreamQuality& stream : report.streams) {
-    if (stream.media_class.empty()) {
-      continue;
-    }
-    ClassAccumulator::Row& row = classes.RowFor(stream.media_class);
-    row.streams += 1;
-    row.built += static_cast<double>(stream.built);
-    row.delivered += static_cast<double>(stream.delivered);
-    row.lost += static_cast<double>(stream.lost);
-    row.queue_drops += static_cast<double>(stream.queue_drops);
-    row.deadline_misses += static_cast<double>(stream.deadline_misses);
-    row.underruns += static_cast<double>(stream.underruns);
-    row.distortion += stream.distortion;
-  }
-  classes.AppendTo(&stats);
-  return stats;
-}
-
 StatList SummaryStats(const ServerReport& report) {
   uint64_t sent = 0;
   uint64_t delivered = 0;

@@ -14,7 +14,6 @@
 #include "src/core/experiment.h"
 #include "src/core/faultsweep.h"
 #include "src/core/media_mix.h"
-#include "src/core/multi_stream.h"
 #include "src/core/router.h"
 #include "src/core/server.h"
 #include "src/fabric/fabric.h"
@@ -25,9 +24,6 @@ using StatList = std::vector<std::pair<std::string, double>>;
 
 StatList SummaryStats(const ExperimentReport& report);
 StatList SummaryStats(const BaselineReport& report);
-// Classed workloads (--mix) append per-class QoE rows under the unified class.<name>.*
-// scheme after the legacy keys; unclassed runs emit exactly the historical list.
-StatList SummaryStats(const MultiStreamReport& report);
 StatList SummaryStats(const ServerReport& report);
 StatList SummaryStats(const RouterReport& report);
 // Per-class QoE plus the controller/ring-priority counters, all under class.<name>.*.

@@ -78,10 +78,8 @@ RouterExperiment::RouterExperiment(RouterConfig config)
   for (size_t r = 0; r < hops + 1; ++r) {
     TokenRing* ring = &topo_.ring(r);
     ring->AddPassiveStations(10);
-    env.AddMacTraffic(ring, MacFrameTraffic::Config{config_.mac_fraction});
-    if (config_.background) {
-      env.AddKeepaliveChatter(ring, Milliseconds(150));
-    }
+    env.AddMacTraffic(ring, MacFrameTraffic::Config{});
+    env.AddKeepaliveChatter(ring, Milliseconds(150));
   }
 
   topo_.ApplyFaultPlan(config_.faults);

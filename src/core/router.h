@@ -40,8 +40,6 @@ struct RouterConfig {
   // two CPU copies) or pass it zero-copy from rx DMA buffer to the B-side transmit
   // (pointer passing; the rx buffer is held until the B-side DMA has read it).
   bool forward_via_mbufs = true;
-  double mac_fraction = 0.002;
-  bool background = true;  // keep-alive chatter on every ring
   // Store-and-forward router stations in series (rings = chain_hops + 1). 1 is the classic
   // two-ring footnote-5 setup; deeper chains model a multi-bridge campus backbone path.
   int64_t chain_hops = 1;

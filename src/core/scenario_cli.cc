@@ -33,7 +33,7 @@ struct Readers {
 constexpr Readers Output(const char* experiments) { return {experiments, true}; }
 
 // The experiments that read --faults; --independent-faults salts exactly their plans.
-constexpr Readers kFaultReaders{"ctms baseline multistream server router fabric mediamix"};
+constexpr Readers kFaultReaders{"ctms baseline server router fabric mediamix"};
 
 using BoolMember = bool ScenarioConfig::*;
 using FlagField = std::variant<BoolMember, std::string ScenarioConfig::*,
@@ -55,14 +55,12 @@ const Flag kFlags[] = {
     {"duration", &ScenarioConfig::duration_s, {"cells"}},
     {"seed", &ScenarioConfig::seed, {"cells"}},
     {"packet-bytes", &ScenarioConfig::packet_bytes,
-     {"ctms faultsweep baseline multistream server router fabric"}},
-    {"period-ms", &ScenarioConfig::period_ms,
-     {"ctms faultsweep baseline multistream server router fabric"}},
+     {"ctms faultsweep baseline server router fabric"}},
+    {"period-ms", &ScenarioConfig::period_ms, {"ctms faultsweep baseline server router fabric"}},
     {"tcp", &ScenarioConfig::tcp, {"baseline"}},
-    {"streams", &ScenarioConfig::streams, {"multistream"}},
     {"clients", &ScenarioConfig::clients, {"server"}},
     {"chain-hops", &ScenarioConfig::chain_hops, {"router"}},
-    {"mix", &ScenarioConfig::mix, {"multistream server router fabric mediamix"}},
+    {"mix", &ScenarioConfig::mix, {"server router fabric mediamix"}},
     {"quality-controller", &ScenarioConfig::quality_controller, {"mediamix"}},
     {"no-quality-controller", &ScenarioConfig::quality_controller, {"mediamix"}},
     {"controller-epoch-ms", &ScenarioConfig::controller_epoch_ms, {"mediamix"}},
@@ -73,7 +71,7 @@ const Flag kFlags[] = {
     {"memory", &ScenarioConfig::memory, {"cells"}},
     {"no-driver-priority", &ScenarioConfig::driver_priority, {"ctms faultsweep"}},
     {"driver-priority", &ScenarioConfig::driver_priority, {"ctms faultsweep"}},
-    {"ring-priority", &ScenarioConfig::ring_priority, {"ctms faultsweep multistream mediamix"}},
+    {"ring-priority", &ScenarioConfig::ring_priority, {"ctms faultsweep mediamix"}},
     {"zero-copy", &ScenarioConfig::zero_copy, {"ctms faultsweep router"}},
     {"retransmit", &ScenarioConfig::retransmit, {"ctms"}},
     {"insertions", &ScenarioConfig::insertion_mean_min, {"ctms faultsweep"}},
@@ -102,10 +100,9 @@ const Flag kFlags[] = {
     {"ground-truth", &ScenarioConfig::ground_truth_output, Output("ctms")},
     {"csv-prefix", &ScenarioConfig::csv_prefix, Output("ctms baseline")},
     {"metrics-json", &ScenarioConfig::metrics_json, Output("cells campaign")},
-    {"trace-json", &ScenarioConfig::trace_json,
-     Output("ctms baseline multistream server router mediamix")},
+    {"trace-json", &ScenarioConfig::trace_json, Output("ctms baseline server router mediamix")},
     {"print-metrics", &ScenarioConfig::print_metrics,
-     Output("ctms baseline multistream server router fabric mediamix")},
+     Output("ctms baseline server router fabric mediamix")},
 };
 
 // The row of `name`, or null.
@@ -146,14 +143,18 @@ bool Reads(const ScenarioConfig& config, const Readers& readers) {
          (!readers.output && Names(readers, config.cell_experiment));
 }
 
+// Whether `config` sets the field of `flag` to a non-default value.
+bool IsSet(const ScenarioConfig& config, const Flag& flag) {
+  static const ScenarioConfig defaults;
+  return std::visit([&](auto member) { return config.*member != defaults.*member; },
+                    flag.field);
+}
+
 // The error for the first flag set to a non-default value that a run of `config` does not
 // read, or "".
 std::string UnreadFlagError(const ScenarioConfig& config) {
-  static const ScenarioConfig defaults;
   for (const Flag& flag : kFlags) {
-    const bool set = std::visit(
-        [&](auto member) { return config.*member != defaults.*member; }, flag.field);
-    if (set && !Reads(config, flag.readers)) {
+    if (IsSet(config, flag) && !Reads(config, flag.readers)) {
       return "--" + std::string(flag.name) + " is not read by the " +
              (config.experiment == "campaign"
                   ? "campaign experiment or its " + config.cell_experiment + " cells"
@@ -164,6 +165,30 @@ std::string UnreadFlagError(const ScenarioConfig& config) {
       !Names(kFaultReaders, config.cell_experiment)) {
     return "--independent-faults salts the cells' fault plans, and " +
            config.cell_experiment + " cells do not read --faults";
+  }
+  return "";
+}
+
+// The error for a flag set beside a --mix that overrides it, or "". Each class sets its
+// streams' packet size and period, and the mix sets the stream count; the router carries
+// one connection, so its mix must make exactly one stream. Runs after UnreadFlagError, so
+// a --mix here is read by the run.
+std::string MixConflictError(const ScenarioConfig& config,
+                             const std::vector<WorkloadEntry>& workload) {
+  if (workload.empty()) {
+    return "";
+  }
+  for (const char* name : {"clients", "packet-bytes", "period-ms"}) {
+    if (IsSet(config, *FindFlag(name))) {
+      return "--" + std::string(name) + " cannot be combined with --mix, which sets the streams";
+    }
+  }
+  const std::string& experiment =
+      config.experiment == "campaign" ? config.cell_experiment : config.experiment;
+  const size_t streams = ResolveWorkload(workload).size();
+  if (experiment == "router" && streams > 1) {
+    return "--mix=" + config.mix + " makes " + std::to_string(streams) +
+           " streams, and the router experiment carries one";
   }
   return "";
 }
@@ -238,7 +263,6 @@ const RangeCheck kRangeChecks[] = {
     {"packet-bytes", &ScenarioConfig::packet_bytes, 1, INT64_MAX,
      "--packet-bytes must be positive"},
     {"period-ms", &ScenarioConfig::period_ms, 1, MaxTimeIn(kMillisecond), nullptr},
-    {"streams", &ScenarioConfig::streams, 1, 16, nullptr},
     {"clients", &ScenarioConfig::clients, 1, 16, nullptr},
     {"retry-budget", &ScenarioConfig::retry_budget, 0, 1000, nullptr},
     {"retry-backoff-ms", &ScenarioConfig::retry_backoff_ms, 0, MaxTimeIn(kMillisecond),
@@ -362,14 +386,15 @@ std::string ValidateScenarioConfig(const ScenarioConfig& config) {
       return "unknown --recovery=" + token + " (expected none or resend or fec or hybrid)";
     }
   }
+  std::vector<WorkloadEntry> workload;
   if (!config.mix.empty()) {
-    std::vector<WorkloadEntry> workload;
     std::string error;
     if (!ParseMixSpec(config.mix, &workload, &error)) {
       return error;
     }
   }
-  return UnreadFlagError(config);
+  const std::string unread = UnreadFlagError(config);
+  return !unread.empty() ? unread : MixConflictError(config, workload);
 }
 
 std::string LoadScenarioFiles(ScenarioConfig* config) {
@@ -486,16 +511,6 @@ BaselineConfig BaselineConfigFrom(const ScenarioConfig& cli) {
   return config;
 }
 
-MultiStreamConfig MultiStreamConfigFrom(const ScenarioConfig& cli) {
-  MultiStreamConfig config = SharedConfig<MultiStreamConfig>(cli);
-  config.streams = static_cast<int>(cli.streams);
-  config.packet_bytes = cli.packet_bytes;
-  config.packet_period = Milliseconds(cli.period_ms);
-  config.workload = ScenarioWorkload(cli);  // non-empty overrides the legacy knobs above
-  config.ring_priority = cli.ring_priority;
-  return config;
-}
-
 ServerConfig ServerConfigFrom(const ScenarioConfig& cli) {
   ServerConfig config = SharedConfig<ServerConfig>(cli);
   config.clients = static_cast<int>(cli.clients);
@@ -509,7 +524,7 @@ RouterConfig RouterConfigFrom(const ScenarioConfig& cli) {
   RouterConfig config = SharedConfig<RouterConfig>(cli);
   config.packet_bytes = cli.packet_bytes;
   config.packet_period = Milliseconds(cli.period_ms);
-  // The router carries one connection; a --mix gives it the first entry's class.
+  // The router carries one connection; ValidateScenarioConfig holds a --mix to one stream.
   const std::vector<WorkloadEntry> workload = ScenarioWorkload(cli);
   if (!workload.empty()) {
     const std::vector<MediaClass> classes = ResolveWorkload(workload);

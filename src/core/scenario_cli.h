@@ -20,7 +20,6 @@
 #include "src/core/baseline.h"
 #include "src/core/faultsweep.h"
 #include "src/core/media_mix.h"
-#include "src/core/multi_stream.h"
 #include "src/core/router.h"
 #include "src/core/scenario.h"
 #include "src/core/server.h"
@@ -39,15 +38,14 @@ struct ScenarioConfig {
   std::string experiment = "ctms";
   std::string scenario = "A";       // ctms: Test Case A or B preset
   bool tcp = false;                 // baseline: TCP-lite instead of UDP
-  int64_t streams = 2;              // multistream (deprecated alias: use --mix)
-  int64_t clients = 2;              // server (deprecated alias: use --mix)
+  int64_t clients = 2;              // server: identical clients when --mix is not set
   int64_t chain_hops = 1;           // router: store-and-forward chain depth
 
   // --- media workload ------------------------------------------------------------------
   // Declarative class mix, e.g. --mix=voice:8,vbr:4,bulk:2 (entries also accept '+' as
-  // separator inside campaign grid axes; fields are class[:count[:rate_kbps]]). Non-empty
-  // overrides the per-experiment stream-count knobs above. Parsed/validated by
-  // ValidateScenarioConfig against the MediaClass registry.
+  // separator inside campaign grid axes; fields are class[:count[:rate_kbps]]). Each class
+  // fixes its own stream shape, so ValidateScenarioConfig refuses --clients, --packet-bytes
+  // and --period-ms beside it, and a router mix of more than one stream.
   std::string mix;
   bool quality_controller = false;   // mediamix: map class utility onto ring priorities
   int64_t controller_epoch_ms = 100;  // controller re-evaluation period
@@ -95,7 +93,7 @@ struct ScenarioConfig {
 
   // --- campaign ------------------------------------------------------------------------
   int64_t jobs = 1;                      // worker threads (campaign / faultsweep cells)
-  std::string grid_spec;                 // e.g. "seed=1:4;streams=1,2,4"
+  std::string grid_spec;                 // e.g. "seed=1:4;memory=iocm,system"
   std::string cell_experiment = "ctms";  // experiment each grid point runs
   bool independent_faults = false;       // per-run fault RNG salt (FaultPlan::set_rng_salt)
 
@@ -128,8 +126,8 @@ struct ScenarioConfig {
 // --- the flag surface as data ----------------------------------------------------------
 //
 // Every `--flag=value` axis ctms_sim accepts is applied through ApplyScenarioAxis, and the
-// campaign grid reuses the same tables — an axis name in `--grid=seed=1:4;streams=1,2` is
-// exactly a ctms_sim flag name, so new flags become sweepable for free.
+// campaign grid reuses the same tables — an axis name in `--grid=seed=1:4;memory=iocm,system`
+// is exactly a ctms_sim flag name, so new flags become sweepable for free.
 
 // Sets the field registered under the flag/axis `name` (no leading "--"). Value flags take
 // the string verbatim or as a number; presence-style bool flags (tcp, zero-copy, ...) accept
@@ -143,10 +141,11 @@ bool ApplyScenarioAxis(ScenarioConfig* config, const std::string& name,
 bool ApplyScenarioPresenceFlag(ScenarioConfig* config, const std::string& name);
 
 // Post-parse validation shared by the tool and the campaign grid: enumerated string
-// spellings (experiment, scenario, memory, method, degradation), numeric ranges, and that
-// the selected experiment reads every flag set to a non-default value (a campaign reads its
-// own flags plus its cell experiment's, minus the output flags). Returns an empty string
-// when the config is valid, else a one-line error naming the flag.
+// spellings (experiment, scenario, memory, method, degradation), numeric ranges, that the
+// selected experiment reads every flag set to a non-default value (a campaign reads its own
+// flags plus its cell experiment's, minus the output flags), and that no flag a --mix
+// overrides is set beside it. Returns an empty string when the config is valid, else a
+// one-line error naming the flag.
 std::string ValidateScenarioConfig(const ScenarioConfig& config);
 
 // Loads the --faults plan into `faults` and the --trace schedule into `trace`. Returns ""
@@ -162,7 +161,6 @@ bool ScenarioFlagReadBy(const std::string& flag, const std::string& experiment);
 // the rest of the experiment config at its own defaults.
 CtmsConfig CtmsConfigFrom(const ScenarioConfig& cli);
 BaselineConfig BaselineConfigFrom(const ScenarioConfig& cli);
-MultiStreamConfig MultiStreamConfigFrom(const ScenarioConfig& cli);
 ServerConfig ServerConfigFrom(const ScenarioConfig& cli);
 RouterConfig RouterConfigFrom(const ScenarioConfig& cli);
 FaultSweepConfig FaultSweepConfigFrom(const ScenarioConfig& cli);

@@ -49,7 +49,7 @@ ServerExperiment::ServerExperiment(ServerConfig config)
   }
 
   ring.AddPassiveStations(8);
-  topo_.environment().AddMacTraffic(&ring, MacFrameTraffic::Config{config_.mac_fraction});
+  topo_.environment().AddMacTraffic(&ring, MacFrameTraffic::Config{});
 
   topo_.ApplyFaultPlan(config_.faults);
 }

@@ -31,7 +31,6 @@ struct ServerConfig {
   int64_t file_bytes = 40 * 1024 * 1024;  // one ~40 MB media file per client
   int64_t read_chunk_bytes = 16 * 1024;   // the read-ahead knob
   MemoryKind dma_buffer_kind = MemoryKind::kIoChannelMemory;
-  double mac_fraction = 0.002;
   SimDuration duration = Seconds(30);
   uint64_t seed = 1;
   FaultPlan faults;  // empty = no injector; runs stay bit-identical to plan-free ones

@@ -1,6 +1,6 @@
 #include "src/dev/media_source.h"
 
-#include <cstdlib>
+#include <string>
 
 namespace ctms {
 namespace {
@@ -125,13 +125,21 @@ std::vector<std::string> SplitAny(const std::string& text, const std::string& se
   return pieces;
 }
 
-bool ParsePositiveInt(const std::string& text, int64_t* out) {
+// The 4 Mbit/s ring's line rate in KB/s; no stream can be offered faster than the wire.
+constexpr int64_t kRingLineRateKbps = 500;
+
+// Reads a decimal in 1..max. Digits stop counting once the value passes max, so no digit
+// string, however long, can overflow.
+bool ParseBoundedInt(const std::string& text, int64_t max, int64_t* out) {
   if (text.empty()) return false;
+  int64_t value = 0;
   for (const char c : text) {
     if (c < '0' || c > '9') return false;
+    value = value * 10 + (c - '0');
+    if (value > max) return false;
   }
-  *out = std::atoll(text.c_str());
-  return *out > 0;
+  *out = value;
+  return value > 0;
 }
 
 }  // namespace
@@ -157,15 +165,16 @@ bool ParseMixSpec(const std::string& spec, std::vector<WorkloadEntry>* out,
     }
     if (fields.size() >= 2) {
       int64_t count = 0;
-      if (!ParsePositiveInt(fields[1], &count) || count > 64) {
+      if (!ParseBoundedInt(fields[1], 64, &count)) {
         *error = "bad count in --mix entry '" + piece + "' (want 1..64)";
         return false;
       }
       entry.count = static_cast<int>(count);
     }
     if (fields.size() == 3) {
-      if (!ParsePositiveInt(fields[2], &entry.rate_kbps)) {
-        *error = "bad rate in --mix entry '" + piece + "' (want KB/s > 0)";
+      if (!ParseBoundedInt(fields[2], kRingLineRateKbps, &entry.rate_kbps)) {
+        *error = "bad rate in --mix entry '" + piece + "' (want 1.." +
+                 std::to_string(kRingLineRateKbps) + " KB/s, the ring's line rate)";
         return false;
       }
     }

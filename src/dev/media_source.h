@@ -87,7 +87,7 @@ struct WorkloadEntry {
 };
 
 // Parses a --mix spec. Returns false and sets *error on unknown classes or malformed
-// fields; a non-positive count or rate is rejected.
+// fields; a count must be 1..64 and a rate 1..500 KB/s (the 4 Mbit/s ring's line rate).
 bool ParseMixSpec(const std::string& spec, std::vector<WorkloadEntry>* out, std::string* error);
 
 // Expands a workload block into one MediaClass per stream, in entry order, with any rate

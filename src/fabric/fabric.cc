@@ -71,10 +71,8 @@ FabricExperiment::FabricExperiment(FabricConfig config)
     }
 
     BackgroundEnvironment& env = topo.environment();
-    env.AddMacTraffic(&ring, MacFrameTraffic::Config{config_.mac_fraction});
-    if (config_.background) {
-      env.AddKeepaliveChatter(&ring, Milliseconds(150));
-    }
+    env.AddMacTraffic(&ring, MacFrameTraffic::Config{});
+    env.AddKeepaliveChatter(&ring, Milliseconds(150));
   }
 
   // Bridge capture taps. After this, any CTMSP packet a shard's ring delivers to one of

@@ -65,8 +65,6 @@ struct FabricConfig {
   // unclassed stream bit-for-bit.
   std::vector<WorkloadEntry> workload;
   MemoryKind dma_buffer_kind = MemoryKind::kIoChannelMemory;
-  double mac_fraction = 0.002;
-  bool background = true;  // keep-alive chatter on every shard ring
 
   bool journeys = false;  // per-shard journey recorders + cross-bridge Detach/Adopt
   SimDuration duration = Seconds(30);
@@ -95,7 +93,7 @@ struct FabricHopStats {
 };
 
 // Per-class QoE aggregated over the fabric's flows — the same class.<name>.* surface the
-// mediamix and multistream reports expose, here summed across shards.
+// mediamix, server and router reports expose, here summed across shards.
 struct FabricClassStats {
   std::string name;
   int flows = 0;

@@ -105,8 +105,8 @@ class Station {
       activity_->Start();
     }
   }
-  // Canonical bring-up for new topologies. The five paper experiments sequence hardclocks
-  // and activities themselves to preserve their historical event-insertion order.
+  // Canonical bring-up for new topologies. The paper experiments sequence hardclocks and
+  // activities themselves to preserve their historical event-insertion order.
   void Start() {
     StartHardclock();
     StartActivity();

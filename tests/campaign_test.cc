@@ -64,6 +64,30 @@ TEST(CampaignGridTest, RejectsMalformedSpecs) {
   EXPECT_FALSE(CampaignGrid::Parse("seed=1:2:3:4", &error).has_value());
   EXPECT_FALSE(CampaignGrid::Parse("seed=1;seed=2", &error).has_value());
   EXPECT_FALSE(error.empty());
+  // More than kMaxGridPoints points, refused before any value is built: one long range, a
+  // range whose span overflows int64_t, and a product of axes that each fit.
+  EXPECT_FALSE(CampaignGrid::Parse("seed=1:2000000000", &error).has_value());
+  EXPECT_FALSE(CampaignGrid::Parse("seed=-9223372036854775808:9223372036854775807", &error)
+                   .has_value());
+  EXPECT_FALSE(CampaignGrid::Parse("seed=1:100;packet-bytes=1:101", &error).has_value());
+  EXPECT_NE(error.find("10000 points"), std::string::npos) << error;
+}
+
+// A range ends at its last value at or below hi, even where one more step would pass
+// INT64_MAX; and the point cap admits exactly kMaxGridPoints points.
+TEST(CampaignGridTest, RangesAtTheLimitsExpandExactly) {
+  std::string error;
+  auto grid = CampaignGrid::Parse("seed=1:9223372036854775807:4611686018427387904", &error);
+  ASSERT_TRUE(grid.has_value()) << error;
+  EXPECT_EQ(grid->Spec(), "seed=1,4611686018427387905");
+  grid = CampaignGrid::Parse(
+      "seed=-9223372036854775808:9223372036854775807:9223372036854775807", &error);
+  ASSERT_TRUE(grid.has_value()) << error;
+  EXPECT_EQ(grid->Spec(), "seed=-9223372036854775808,-1,9223372036854775806");
+  grid = CampaignGrid::Parse("seed=1:100;packet-bytes=1:100", &error);
+  ASSERT_TRUE(grid.has_value()) << error;
+  EXPECT_EQ(grid->PointCount(), kMaxGridPoints);
+  EXPECT_EQ(grid->Expand().size(), kMaxGridPoints);
 }
 
 // --- runner preparation -------------------------------------------------------------------
@@ -104,7 +128,7 @@ TEST(CampaignRunnerTest, PrepareRejectsBadAxesAndNestedCampaigns) {
   EXPECT_NE(MakeRunner(CampaignBase(), "jobs=1,2", {}).Prepare(), "");
   EXPECT_NE(MakeRunner(CampaignBase(), "experiment=ctms,baseline", {}).Prepare(), "");
   EXPECT_NE(MakeRunner(CampaignBase(), "duration=0,1", {}).Prepare(), "");
-  EXPECT_NE(MakeRunner(CampaignBase(), "streams=0:4", {}).Prepare(), "");
+  EXPECT_NE(MakeRunner(CampaignBase(), "packet-bytes=0:4", {}).Prepare(), "");
 }
 
 // --- deterministic merge ------------------------------------------------------------------
@@ -133,13 +157,13 @@ TEST(CampaignDeterminismTest, MergedJsonIsBitIdenticalAcrossJobCounts) {
 
 // Other cell experiments merge the same way. The fabric cells run four and five shards
 // with journeys on, so cross-shard Detach/Adopt runs on the worker threads too.
-TEST(CampaignDeterminismTest, MultistreamCellsMergeIdenticallyToo) {
+TEST(CampaignDeterminismTest, MediaMixAndFabricCellsMergeIdenticallyToo) {
   struct Input {
     const char* cell_experiment;
     const char* spec;
     const char* expected_key;
   };
-  for (const Input& input : {Input{"multistream", "streams=1,2", "\"runs\": 2"},
+  for (const Input& input : {Input{"mediamix", "mix=vca:1,vca:2", "\"runs\": 2"},
                              Input{"fabric", "journeys=1;rings=4,5", "shard3."}}) {
     ScenarioConfig base = CampaignBase(/*duration_s=*/1);
     base.cell_experiment = input.cell_experiment;

@@ -1,8 +1,8 @@
 // Media-class / MediaSource tests: the class registry and --mix parsing, the VBR burst
 // rate model, per-class QoE accounting through the mediamix experiment, the unified
 // class.<name>.* report rows, the ring priority/reservation machinery the quality
-// controller actuates, and the contract that matters most: the all-VCA workload is
-// behaviourally identical to the legacy unclassed construction, and the quality-centric
+// controller actuates, and the contract that matters most: a vca-class stream is
+// behaviourally identical to the legacy unclassed stream, and the quality-centric
 // controller beats FIFO on aggregate distortion at the same offered load.
 
 #include <gtest/gtest.h>
@@ -14,8 +14,8 @@
 #include "src/campaign/campaign.h"
 #include "src/campaign/grid.h"
 #include "src/core/media_mix.h"
-#include "src/core/multi_stream.h"
 #include "src/core/report_stats.h"
+#include "src/core/router.h"
 #include "src/core/scenario_cli.h"
 #include "src/dev/media_source.h"
 #include "src/dev/vca.h"
@@ -80,6 +80,10 @@ TEST(MediaClassTest, ParseMixSpecAcceptsCountsRatesAndPlusSeparator) {
 
   ASSERT_TRUE(ParseMixSpec("vca:2:100", &workload, &error)) << error;
   EXPECT_EQ(workload[0].rate_kbps, 100);
+
+  // 500 KB/s is the 4 Mbit/s ring's line rate: 6000 bytes per 12 ms vca packet.
+  ASSERT_TRUE(ParseMixSpec("vca:1:500", &workload, &error)) << error;
+  EXPECT_EQ(ResolveWorkload(workload).front().packet_bytes, 6000);
 }
 
 TEST(MediaClassTest, ParseMixSpecRejectsMalformedSpecs) {
@@ -95,6 +99,13 @@ TEST(MediaClassTest, ParseMixSpecRejectsMalformedSpecs) {
   EXPECT_FALSE(ParseMixSpec("", &workload, &error));
   EXPECT_FALSE(ParseMixSpec("voice,,bulk", &workload, &error));
   EXPECT_FALSE(ParseMixSpec("voice:1:2:3", &workload, &error));
+  // Rates above the ring's line rate, including one whose bytes per period would overflow
+  // int64_t, and digit strings too long for any integer type.
+  EXPECT_FALSE(ParseMixSpec("vca:1:501", &workload, &error));
+  EXPECT_NE(error.find("1..500 KB/s"), std::string::npos) << error;
+  EXPECT_FALSE(ParseMixSpec("voice:1:99999999999", &workload, &error));
+  EXPECT_FALSE(ParseMixSpec("voice:1:99999999999999999999999999", &workload, &error));
+  EXPECT_FALSE(ParseMixSpec("voice:18446744073709551617", &workload, &error));
 }
 
 TEST(MediaClassTest, ResolveWorkloadExpandsCountsAndFoldsRates) {
@@ -115,8 +126,6 @@ TEST(MediaClassTest, ScenarioCliValidatesAndThreadsTheMix) {
   cli.experiment = "mediamix";  // the default ctms experiment does not read --mix
   cli.mix = "voice:2,bulk:1";
   EXPECT_EQ(ValidateScenarioConfig(cli), "");
-  const MultiStreamConfig multi = MultiStreamConfigFrom(cli);
-  ASSERT_EQ(multi.workload.size(), 2u);
   const ServerConfig server = ServerConfigFrom(cli);
   EXPECT_EQ(server.workload.size(), 2u);
   const RouterConfig router = RouterConfigFrom(cli);
@@ -129,7 +138,51 @@ TEST(MediaClassTest, ScenarioCliValidatesAndThreadsTheMix) {
   EXPECT_NE(ValidateScenarioConfig(cli), "");
   cli.mix = "";
   EXPECT_EQ(ValidateScenarioConfig(cli), "");
-  EXPECT_TRUE(MultiStreamConfigFrom(cli).workload.empty());
+  EXPECT_TRUE(MediaMixConfigFrom(cli).workload.empty());
+}
+
+// Each class sets its streams' packet size and period, so a stream-shape flag beside --mix
+// would be accepted and ignored; so would every router stream after the first.
+TEST(MediaClassTest, ScenarioCliRefusesFlagsTheMixOverrides) {
+  struct Case {
+    const char* experiment;
+    const char* flag;
+    const char* value;
+  };
+  for (const Case& c : {Case{"server", "clients", "3"}, Case{"server", "packet-bytes", "500"},
+                        Case{"server", "period-ms", "30"}, Case{"router", "packet-bytes", "500"},
+                        Case{"router", "period-ms", "30"}, Case{"fabric", "packet-bytes", "500"},
+                        Case{"fabric", "period-ms", "30"}}) {
+    ScenarioConfig cli;
+    cli.experiment = c.experiment;
+    std::string error;
+    ASSERT_TRUE(ApplyScenarioAxis(&cli, c.flag, c.value, &error)) << error;
+    EXPECT_EQ(ValidateScenarioConfig(cli), "") << c.experiment << " --" << c.flag;
+    cli.mix = "voice:1";
+    EXPECT_NE(ValidateScenarioConfig(cli).find(std::string("--") + c.flag), std::string::npos)
+        << c.experiment << " --" << c.flag;
+  }
+
+  ScenarioConfig router;
+  router.experiment = "router";
+  router.mix = "vca:1";
+  EXPECT_EQ(ValidateScenarioConfig(router), "");
+  router.mix = "voice:3,vbr:2";
+  EXPECT_NE(ValidateScenarioConfig(router).find("--mix"), std::string::npos);
+
+  // Campaign cells are held to the same rule, through the base flags and through a grid.
+  ScenarioConfig campaign;
+  campaign.experiment = "campaign";
+  campaign.cell_experiment = "router";
+  campaign.mix = "voice:2";
+  EXPECT_NE(ValidateScenarioConfig(campaign).find("--mix"), std::string::npos);
+  campaign.mix = "voice:1";
+  EXPECT_EQ(ValidateScenarioConfig(campaign), "");
+  std::string error;
+  auto grid = CampaignGrid::Parse("mix=voice:1,voice:2", &error);
+  ASSERT_TRUE(grid.has_value()) << error;
+  CampaignRunner runner(campaign, *grid, CampaignRunner::Options{});
+  EXPECT_NE(runner.Prepare().find("--mix"), std::string::npos);
 }
 
 TEST(MediaClassTest, GridMixAxisKeepsColonsLiteral) {
@@ -284,53 +337,29 @@ TEST(MediaMixTest, SummaryStatsUseUnifiedClassKeys) {
   }
 }
 
-TEST(MultiStreamTest, ClassedWorkloadAppendsClassRowsAfterLegacyKeys) {
-  MultiStreamConfig config;
-  config.workload = {{"voice", 1, 0}};
-  config.duration = Seconds(2);
-  MultiStreamExperiment experiment(config);
-  const MultiStreamReport report = experiment.Run();
-  ASSERT_EQ(report.streams.size(), 1u);
-  EXPECT_EQ(report.streams[0].media_class, "voice");
-  const StatList stats = SummaryStats(report);
-  // Legacy keys stay first and unchanged; class rows follow.
-  EXPECT_EQ(stats[0].first, "streams");
-  EXPECT_TRUE(std::any_of(stats.begin(), stats.end(), [](const auto& kv) {
-    return kv.first == "class.voice.delivered";
-  }));
-}
-
 // --- equivalence: the redesigned source layer does not disturb legacy behaviour -----------
 
-TEST(MultiStreamTest, AllVcaWorkloadMatchesLegacyConstructionExactly) {
-  MultiStreamConfig legacy;
-  legacy.streams = 2;
-  legacy.duration = Seconds(5);
-  MultiStreamExperiment legacy_experiment(legacy);
-  const MultiStreamReport legacy_report = legacy_experiment.Run();
-
+TEST(MediaClassTest, VcaClassMatchesLegacyRouterStreamExactly) {
   // The vca class descriptor is the paper's stream: same 2000 B / 12 ms rate model, no
-  // burstiness. Routing it through the MediaSource path must reproduce the legacy run's
+  // burstiness. Routing it through the MediaSource path must reproduce the legacy stream's
   // delivery behaviour event for event (the class adds accounting, not behaviour).
-  MultiStreamConfig classed;
-  classed.workload = {{"vca", 2, 0}};
-  classed.duration = Seconds(5);
-  MultiStreamExperiment classed_experiment(classed);
-  const MultiStreamReport classed_report = classed_experiment.Run();
-
-  ASSERT_EQ(classed_report.streams.size(), legacy_report.streams.size());
-  for (size_t i = 0; i < legacy_report.streams.size(); ++i) {
-    const StreamQuality& a = legacy_report.streams[i];
-    const StreamQuality& b = classed_report.streams[i];
-    EXPECT_EQ(a.built, b.built) << "stream " << i;
-    EXPECT_EQ(a.delivered, b.delivered) << "stream " << i;
-    EXPECT_EQ(a.lost, b.lost) << "stream " << i;
-    EXPECT_EQ(a.underruns, b.underruns) << "stream " << i;
-    EXPECT_EQ(a.mean_latency, b.mean_latency) << "stream " << i;
-    EXPECT_EQ(a.max_latency, b.max_latency) << "stream " << i;
+  for (const uint64_t seed : {1u, 2u, 3u}) {
+    RouterConfig legacy;
+    legacy.duration = Seconds(5);
+    legacy.seed = seed;
+    RouterConfig classed = legacy;
+    classed.media_class = MediaClassByName("vca");
+    const RouterReport a = RouterExperiment(legacy).Run();
+    const RouterReport b = RouterExperiment(classed).Run();
+    EXPECT_EQ(a.packets_built, b.packets_built) << "seed " << seed;
+    EXPECT_EQ(a.packets_delivered, b.packets_delivered) << "seed " << seed;
+    EXPECT_EQ(a.packets_lost, b.packets_lost) << "seed " << seed;
+    EXPECT_EQ(a.sink_underruns, b.sink_underruns) << "seed " << seed;
+    EXPECT_EQ(a.end_to_end.Summary().mean, b.end_to_end.Summary().mean) << "seed " << seed;
+    EXPECT_EQ(a.ring_utilization, b.ring_utilization) << "seed " << seed;
+    EXPECT_TRUE(a.media_class.empty());
+    EXPECT_EQ(b.media_class, "vca");
   }
-  EXPECT_EQ(classed_report.streams[0].media_class, "vca");
-  EXPECT_TRUE(legacy_report.streams[0].media_class.empty());
 }
 
 // --- the tentpole claim: quality-centric control beats FIFO under overload ----------------

@@ -511,7 +511,6 @@ const std::map<std::string, std::string>& NonDefaultFlagValues() {
       {"seed", "2"},
       {"packet-bytes", "1000"},
       {"period-ms", "10"},
-      {"streams", "3"},
       {"clients", "3"},
       {"chain-hops", "2"},
       {"mix", "voice:1"},

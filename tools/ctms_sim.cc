@@ -6,7 +6,7 @@
 //   ctms_sim --scenario=B --duration=120 --histogram=6 --bin-us=500
 //   ctms_sim --scenario=B --zero-copy --method=truth
 //   ctms_sim --experiment=baseline --packet-bytes=2000 --tcp
-//   ctms_sim --experiment=multistream --streams=3 --duration=20
+//   ctms_sim --experiment=mediamix --mix=vca:3 --duration=20
 //   ctms_sim --experiment=server --clients=2 --duration=20
 //   ctms_sim --experiment=router --zero-copy
 //   ctms_sim --scenario=B --faults=plan.json --degradation=retransmit
@@ -18,7 +18,7 @@
 // seven paper histograms as CSV.
 //
 // Every flag is applied through the shared tables in src/core/scenario_cli.h — so the
-// campaign grid (`--grid=seed=1:4;streams=1,2`) can sweep any flag this tool accepts, by
+// campaign grid (`--grid=seed=1:4;memory=iocm,system`) can sweep any flag this tool accepts, by
 // the same name — and the selected experiment runs through its row of the experiment
 // registry (src/core/experiment_registry.h), the same dispatch the campaign cells use.
 
@@ -39,19 +39,21 @@ void PrintUsage() {
       "ctms_sim — reproduce the USENIX'91 CTMS experiments\n\n"
       "A flag the selected experiment does not read is an error, not a no-op.\n\n"
       "experiment selection:\n"
-      "  --experiment=NAME     ctms (default), baseline, multistream, server, router,\n"
-      "                        faultsweep, fabric, mediamix, or campaign\n"
+      "  --experiment=NAME     ctms (default), baseline, server, router, faultsweep,\n"
+      "                        fabric, mediamix, or campaign\n"
       "  --scenario=A|B        Test Case A (private quiet ring) or B (loaded public ring)\n"
       "  --tcp                 baseline uses TCP-lite instead of UDP\n"
-      "  --streams=N           multistream: concurrent CTMSP connections (default 2);\n"
-      "                        deprecated alias — prefer --mix\n"
       "  --clients=N           server: client machines fed from one media disk (default 2);\n"
-      "                        deprecated alias — prefer --mix\n"
+      "                        refused beside --mix, which makes one client per stream\n"
       "  --chain-hops=N        router: store-and-forward bridges in the chain (default 1)\n\n"
-      "media workload (mediamix; --mix also applies to multistream/server/router/fabric):\n"
+      "media workload (mediamix; --mix also applies to server/router/fabric):\n"
       "  --mix=SPEC            declarative class mix, e.g. voice:8,vbr:4,bulk:2; entries\n"
       "                        are class[:count[:rate_kbps]] separated by ',' or '+'\n"
-      "                        (classes: vca, voice, vbr, bulk)\n"
+      "                        (classes: vca, voice, vbr, bulk; rate at most 500 KB/s);\n"
+      "                        vca:N is N of the paper's 150 KB/s streams on one ring.\n"
+      "                        Each class sets its streams' packet size and period, so\n"
+      "                        --packet-bytes and --period-ms are refused beside it, and\n"
+      "                        a router mix must make exactly one stream\n"
       "  --quality-controller  map class utility onto 802.5 ring access priorities,\n"
       "                        re-ranked by distortion pressure each epoch (default off:\n"
       "                        all classes share one priority, FIFO between them)\n"
@@ -92,9 +94,10 @@ void PrintUsage() {
       "  --jobs=N              faultsweep: cell worker threads; the report is\n"
       "                        byte-identical for every N (default 1)\n\n"
       "campaign (--experiment=campaign):\n"
-      "  --grid=SPEC           swept axes, e.g. seed=1:8 or seed=1:4;streams=1,2,4;\n"
+      "  --grid=SPEC           swept axes, e.g. seed=1:8 or seed=1:4;memory=iocm,system;\n"
       "                        axis names are the flag names above, values are lists\n"
-      "                        (v1,v2) or inclusive integer ranges (lo:hi or lo:hi:step)\n"
+      "                        (v1,v2) or inclusive integer ranges (lo:hi or lo:hi:step);\n"
+      "                        at most 10000 points\n"
       "  --jobs=N              worker threads (default 1); the merged report is\n"
       "                        byte-identical for every N\n"
       "  --cell-experiment=E   experiment each grid point runs (default ctms)\n"
