@@ -328,6 +328,7 @@ double RunExperimentOnce(int64_t duration_s, bool journeys) {
   CtmsConfig config = CtmsConfigFrom(cli);
   const auto start = std::chrono::steady_clock::now();
   CtmsExperiment experiment(config);
+  ConfigureJourneys(cli, &experiment.sim().telemetry().journeys);  // as --journeys does
   const ExperimentReport report = experiment.Run();
   const auto stop = std::chrono::steady_clock::now();
   if (report.packets_built == 0) {

@@ -97,8 +97,8 @@ int main() {
   CtmsConfig jr_config = TestCaseB();
   jr_config.method = MeasurementMethod::kGroundTruth;
   jr_config.duration = Seconds(60);
-  jr_config.journeys = true;
   CtmsExperiment jr_experiment(jr_config);
+  jr_experiment.sim().telemetry().journeys.Enable();
   const ExperimentReport jr = jr_experiment.Run();
   MetricsRegistry& jr_metrics = jr_experiment.sim().telemetry().metrics;
   double journey_tx_rx_mean = 0.0;

@@ -47,7 +47,7 @@ echo "=== bench smoke: per-class source rate models ==="
 echo "wrote BENCH_source.json"
 
 echo "=== mediamix determinism: campaign --jobs=1 vs --jobs=4 byte-diff ==="
-# A mixed-class campaign cell (heterogeneous MediaSource workload and the per-class QoE
+# A mixed-class campaign cell (heterogeneous media-class workload and the per-class QoE
 # rows) must merge byte-identically for any worker count, like every other cell kind.
 mediamix_smoke() {
   ./build/tools/ctms_sim --experiment=campaign --cell-experiment=mediamix \

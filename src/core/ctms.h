@@ -46,7 +46,6 @@
 #include "src/measure/histogram.h"
 #include "src/measure/export.h"
 #include "src/measure/interval_analyzer.h"
-#include "src/measure/live_analyzer.h"
 #include "src/measure/probe.h"
 #include "src/measure/recorders.h"
 #include "src/measure/stats.h"

@@ -74,16 +74,6 @@ SimDuration InlineProbeCost(MeasurementMethod method) {
 
 CtmsExperiment::CtmsExperiment(CtmsConfig config)
     : config_(std::move(config)), topo_(config_.seed) {
-  if (config_.journeys) {
-    // Journey recording reads SimTime only, so enabling it here cannot perturb the run; the
-    // deadline (4x the packet period) is generous enough that only genuinely late packets
-    // fire the deadline-miss anomaly.
-    JourneyRecorder& journeys = sim().telemetry().journeys;
-    journeys.set_flight_capacity(static_cast<size_t>(config_.flight_recorder));
-    journeys.set_stage_histograms(config_.stage_histograms);
-    journeys.set_deadline(4 * config_.packet_period);
-    journeys.Enable();
-  }
   TokenRing& ring = topo_.AddRing(RingConfig(config_));
   tx_ = &topo_.AddStation("tx");
   rx_ = &topo_.AddStation("rx");

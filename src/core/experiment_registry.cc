@@ -75,7 +75,7 @@ bool EmitOutput(const ScenarioConfig& config, const std::string& summary,
                              : journeys.anomaly_fired()   ? "flight_recorder.json"
                                                           : "";
     if (!path.empty()) {
-      wrote(WriteJourneyJson(journeys, path), path);
+      wrote(WriteText(journeys.FlightJson(), path), path);
     }
   }
   const MetricsRegistry none;
@@ -123,9 +123,11 @@ ExperimentRun Finish(const ScenarioConfig& config, bool output, std::string scen
   return run;
 }
 
-// The simulation's telemetry, with the tracer on when the output step will write it.
+// The simulation's telemetry, with the tracer on when the output step will write it and
+// the journey recorder on under --journeys.
 Telemetry& Traced(Simulation& sim, const ScenarioConfig& config, bool output) {
   sim.telemetry().tracer.set_enabled(output && !config.trace_json.empty());
+  ConfigureJourneys(config, &sim.telemetry().journeys);
   return sim.telemetry();
 }
 
@@ -195,6 +197,9 @@ ExperimentRun RunFaultSweep(const ScenarioConfig& config, bool output) {
 
 ExperimentRun RunFabric(const ScenarioConfig& config, bool output) {
   FabricExperiment experiment(FabricConfigFrom(config));
+  for (size_t i = 0; i < experiment.shard_count(); ++i) {
+    ConfigureJourneys(config, &experiment.shard(i).sim().telemetry().journeys);
+  }
   const FabricReport report = experiment.Run();
   auto merged = std::make_unique<MetricsRegistry>();
   experiment.MergeMetricsInto(merged.get());

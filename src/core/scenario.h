@@ -91,13 +91,6 @@ struct CtmsConfig {
   // Deterministic fault schedule; empty = no injector, bit-identical to a plan-free run.
   FaultPlan faults;
 
-  // --- observability -----------------------------------------------------------------------------
-  // Packet-lifecycle journey recording (src/telemetry/journey.h). Reads only SimTime, never
-  // the RNG or scheduler: a same-seed run is bit-identical with journeys on or off.
-  bool journeys = false;
-  int64_t flight_recorder = 64;  // finished journeys retained for anomaly post-mortems
-  bool stage_histograms = false;  // opt-in per-stage log2 histograms in the breakdown
-
   // --- run control -------------------------------------------------------------------------------
   SimDuration duration = Seconds(60);
   uint64_t seed = 1;

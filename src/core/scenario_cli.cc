@@ -91,10 +91,11 @@ const Flag kFlags[] = {
     {"grid", &ScenarioConfig::grid_spec, {"campaign"}},
     {"cell-experiment", &ScenarioConfig::cell_experiment, {"campaign"}},
     {"independent-faults", &ScenarioConfig::independent_faults, {"campaign"}},
-    {"journeys", &ScenarioConfig::journeys, {"ctms fabric"}},
-    {"flight-recorder", &ScenarioConfig::flight_recorder, Output("ctms")},
-    {"journey-json", &ScenarioConfig::journey_json, Output("ctms")},
-    {"stage-histograms", &ScenarioConfig::stage_histograms, Output("ctms")},
+    {"journeys", &ScenarioConfig::journeys, {"ctms server router fabric mediamix"}},
+    {"flight-recorder", &ScenarioConfig::flight_recorder, Output("ctms server router mediamix")},
+    {"journey-json", &ScenarioConfig::journey_json, Output("ctms server router mediamix")},
+    {"stage-histograms", &ScenarioConfig::stage_histograms,
+     Output("ctms server router mediamix")},
     {"histogram", &ScenarioConfig::histogram, Output("ctms")},
     {"bin-us", &ScenarioConfig::bin_us, Output("ctms")},
     {"ground-truth", &ScenarioConfig::ground_truth_output, Output("ctms")},
@@ -497,9 +498,6 @@ CtmsConfig CtmsConfigFrom(const ScenarioConfig& cli) {
   config.fec_group = static_cast<int>(cli.fec_group);
   config.nack_delay = Microseconds(cli.nack_delay_us);
   config.faults = cli.faults;
-  config.journeys = cli.journeys;
-  config.flight_recorder = cli.flight_recorder;
-  config.stage_histograms = cli.stage_histograms;
   return config;
 }
 
@@ -547,7 +545,6 @@ FabricConfig FabricConfigFrom(const ScenarioConfig& cli) {
   config.packet_bytes = cli.packet_bytes;
   config.packet_period = Milliseconds(cli.period_ms);
   config.workload = ScenarioWorkload(cli);  // classes round-robin over the per-shard flows
-  config.journeys = cli.journeys;
   return config;
 }
 
@@ -558,6 +555,19 @@ MediaMixConfig MediaMixConfigFrom(const ScenarioConfig& cli) {
   config.controller_epoch = Milliseconds(cli.controller_epoch_ms);
   config.ring_priority = cli.ring_priority;
   return config;
+}
+
+void ConfigureJourneys(const ScenarioConfig& cli, JourneyRecorder* journeys) {
+  if (!cli.journeys) {
+    return;
+  }
+  // Journey recording reads SimTime only, so enabling it cannot perturb the run; the
+  // deadline (4x the packet period) is generous enough that only genuinely late packets
+  // fire the deadline-miss anomaly, and only a genuinely silent stream fires a stall.
+  journeys->set_flight_capacity(static_cast<size_t>(cli.flight_recorder));
+  journeys->set_stage_histograms(cli.stage_histograms);
+  journeys->set_deadline(4 * Milliseconds(cli.period_ms));
+  journeys->Enable();
 }
 
 FaultSweepConfig FaultSweepConfigFrom(const ScenarioConfig& cli) {

@@ -27,6 +27,7 @@
 #include "src/fault/fault_plan.h"
 #include "src/proto/degradation.h"
 #include "src/proto/recovery.h"
+#include "src/telemetry/journey.h"
 #include "src/workload/trace_replay.h"
 
 namespace ctms {
@@ -166,6 +167,12 @@ RouterConfig RouterConfigFrom(const ScenarioConfig& cli);
 FaultSweepConfig FaultSweepConfigFrom(const ScenarioConfig& cli);
 FabricConfig FabricConfigFrom(const ScenarioConfig& cli);
 MediaMixConfig MediaMixConfigFrom(const ScenarioConfig& cli);
+
+// Turns on one simulation's journey recorder under --journeys, with the --flight-recorder
+// depth, --stage-histograms, and a deadline of 4x --period-ms; no-op without --journeys.
+// The one place a recorder is set up from flags: the experiment registry calls it for every
+// simulation of a run (once per fabric shard).
+void ConfigureJourneys(const ScenarioConfig& cli, JourneyRecorder* journeys);
 
 // The parsed --mix workload; empty when --mix was not given. Assumes the config already
 // passed ValidateScenarioConfig (malformed specs are rejected there).

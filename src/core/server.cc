@@ -97,7 +97,7 @@ ServerReport ServerExperiment::Run() {
 
 bool ServerReport::AllSustained() const {
   for (const ServerClientQuality& client : clients) {
-    if (client.sent == 0 || client.lost > 0 || client.underruns > 0 ||
+    if (client.delivered == 0 || client.lost > 0 || client.underruns > 0 ||
         client.server_starvations > 0) {
       return false;
     }

@@ -116,7 +116,6 @@ void MediaServerSource::OnTick() {
         packet.mbuf_segments = payload.segments();
         packet.payload = std::move(payload);
         ++packets_sent_;
-        bytes_sent_ += config_.packet_bytes;
         packets_sent_counter_->Increment();
         if (!driver_->OutputCtmsp(packet)) {
           ++queue_drops_;
@@ -132,16 +131,6 @@ void MediaServerSource::AdoptMediaClass(const MediaClass& media_class) {
   media_class_ = media_class;
   config_.packet_bytes = media_class.packet_bytes;
   config_.period = media_class.period;
-}
-
-MediaSourceStats MediaServerSource::SourceStats() const {
-  MediaSourceStats stats;
-  stats.packets = packets_sent_;
-  stats.bytes = bytes_sent_;
-  stats.mbuf_drops = mbuf_drops_;
-  stats.queue_drops = queue_drops_;
-  stats.starvations = starvations_;
-  return stats;
 }
 
 }  // namespace ctms

@@ -25,7 +25,7 @@
 
 namespace ctms {
 
-class MediaServerSource : public MediaSource {
+class MediaServerSource {
  public:
   struct Config {
     std::string file;
@@ -46,12 +46,9 @@ class MediaServerSource : public MediaSource {
   MediaServerSource(UnixKernel* kernel, MediaDisk* disk, TokenRingDriver* driver,
                     ProbeBus* probes, CtmspTransmitter* connection, Config config);
 
-  void Start(RingAddress dst) override;
-  void Stop() override;
+  void Start(RingAddress dst);
+  void Stop();
 
-  // --- MediaSource ------------------------------------------------------------------------
-  const MediaClass& media_class() const override { return media_class_; }
-  MediaSourceStats SourceStats() const override;
   // Adopts a class descriptor: packets are stamped with its id and the class cadence
   // replaces the config's packet_bytes/period. Disk-backed sources are elastic by nature,
   // so this is typically the bulk class.
@@ -84,7 +81,6 @@ class MediaServerSource : public MediaSource {
   int64_t staged_bytes_ = 0;
 
   uint64_t packets_sent_ = 0;
-  int64_t bytes_sent_ = 0;
   uint64_t starvations_ = 0;
   uint64_t disk_reads_ = 0;
   uint64_t mbuf_drops_ = 0;

@@ -1,4 +1,4 @@
-// Typed media classes and the MediaSource interface.
+// Typed media classes and declarative workloads.
 //
 // The paper's data-rate argument treats every stream as the same 150 KB/s video-conference
 // feed; a real distributed-multimedia campus carries a mix — constant-rate voice, bursty
@@ -8,9 +8,9 @@
 // distortion/deadline utility rather than raw throughput), a MediaClass descriptor carries
 // both a rate model (period, mean packet size, VBR shape) and a utility model (playout
 // deadline plus weights translating loss / late delivery / playout underruns into a scalar
-// distortion proxy). Concrete traffic generators (VcaSourceDriver, MediaServerSource)
-// implement the MediaSource interface so experiments can hold heterogeneous mixes behind one
-// contract.
+// distortion proxy). The traffic generators (VcaSourceDriver, MediaServerSource) adopt a
+// descriptor to stamp its id on their packets and take its rate model; experiments build
+// their streams from a resolved workload through StreamEndpoints.
 
 #ifndef SRC_DEV_MEDIA_SOURCE_H_
 #define SRC_DEV_MEDIA_SOURCE_H_
@@ -20,7 +20,6 @@
 #include <string>
 #include <vector>
 
-#include "src/ring/frame.h"
 #include "src/sim/time.h"
 
 namespace ctms {
@@ -94,28 +93,6 @@ bool ParseMixSpec(const std::string& spec, std::vector<WorkloadEntry>* out, std:
 // override folded into packet_bytes. This flat list is what experiments iterate to build
 // their stations.
 std::vector<MediaClass> ResolveWorkload(const std::vector<WorkloadEntry>& workload);
-
-// Aggregate counters every source exposes, regardless of how it generates traffic.
-struct MediaSourceStats {
-  uint64_t packets = 0;      // packets handed to the transport
-  int64_t bytes = 0;         // payload bytes those packets carried
-  uint64_t mbuf_drops = 0;   // build-time allocation failures
-  uint64_t queue_drops = 0;  // driver output-queue overflows
-  uint64_t starvations = 0;  // ticks with nothing to send (disk-backed sources)
-};
-
-// The contract every traffic generator implements: start emitting toward a ring address,
-// stop, and describe what class of traffic this is. Experiments hold mixes of sources
-// through this interface; the quality controller reads media_class() for the utility model.
-class MediaSource {
- public:
-  virtual ~MediaSource() = default;
-
-  virtual void Start(RingAddress dst) = 0;
-  virtual void Stop() = 0;
-  virtual const MediaClass& media_class() const = 0;
-  virtual MediaSourceStats SourceStats() const = 0;
-};
 
 }  // namespace ctms
 

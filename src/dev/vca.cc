@@ -109,15 +109,6 @@ void VcaSourceDriver::AdoptMediaClass(const MediaClass& media_class) {
   config_.vbr_burst_sigma = media_class.vbr_burst_sigma;
 }
 
-MediaSourceStats VcaSourceDriver::SourceStats() const {
-  MediaSourceStats stats;
-  stats.packets = packets_built_;
-  stats.bytes = bytes_built_;
-  stats.mbuf_drops = mbuf_drops_;
-  stats.queue_drops = queue_drops_;
-  return stats;
-}
-
 void VcaSourceDriver::InjectStall(SimDuration duration) {
   const SimTime until = kernel_->sim()->Now() + duration;
   if (until > stalled_until_) {

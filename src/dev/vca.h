@@ -33,7 +33,7 @@
 
 namespace ctms {
 
-class VcaSourceDriver : public MediaSource {
+class VcaSourceDriver {
  public:
   enum class OutputMode {
     kCtmspDirect,       // modified path: build CTMSP packet in the interrupt handler
@@ -94,12 +94,8 @@ class VcaSourceDriver : public MediaSource {
   // packet at the end of the stock handler instead of the Token Ring driver.
   void Start(OutputMode mode, RingAddress dst,
              std::function<void(const Packet&)> deliver = nullptr);
-  void Stop() override;
+  void Stop();
 
-  // --- MediaSource ------------------------------------------------------------------------
-  void Start(RingAddress dst) override { Start(OutputMode::kCtmspDirect, dst); }
-  const MediaClass& media_class() const override { return media_class_; }
-  MediaSourceStats SourceStats() const override;
   // Adopts a class descriptor: packets are stamped with its id and the rate-model fields
   // (period, sizes, VBR shape) are applied to the config. Never called on legacy paths, so
   // the default (unclassed, config untouched) is bit-identical to seed.

@@ -39,9 +39,6 @@ FabricExperiment::FabricExperiment(FabricConfig config)
     Shard& shard = shards_[static_cast<size_t>(i)];
     shard.topo = std::make_unique<RingTopology>(shard_seeds[static_cast<size_t>(i)]);
     RingTopology& topo = *shard.topo;
-    if (config_.journeys) {
-      topo.sim().telemetry().journeys.Enable();
-    }
     TokenRing& ring = topo.AddRing();
 
     shard.src = &topo.AddStation("src");
@@ -143,11 +140,9 @@ void FabricExperiment::OnCapture(int shard, int link, const Packet& packet) {
   entry.link = link;
   entry.arrival = s.topo->sim().Now() + config_.link_latency;
   entry.packet = packet;
-  if (config_.journeys) {
-    entry.journey = s.topo->sim().telemetry().journeys.Detach(packet.journey);
-    if (entry.journey.has_value() && entry.journey->origin_shard < 0) {
-      entry.journey->origin_shard = shard;
-    }
+  entry.journey = s.topo->sim().telemetry().journeys.Detach(packet.journey);
+  if (entry.journey.has_value() && entry.journey->origin_shard < 0) {
+    entry.journey->origin_shard = shard;
   }
   s.outbox.push_back(std::move(entry));
 }
@@ -274,6 +269,9 @@ FabricReport FabricExperiment::Run() {
     report.packets_delivered += stats.delivered;
     report.packets_lost += stats.lost;
     report.sink_underruns += stats.underruns;
+    if (stats.delivered == 0) {
+      ++report.silent_flows;
+    }
     if (!stats.media_class.empty()) {
       auto it = class_slot.find(stats.media_class);
       if (it == class_slot.end()) {

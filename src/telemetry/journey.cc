@@ -1,7 +1,5 @@
 #include "src/telemetry/journey.h"
 
-#include <cinttypes>
-#include <cstdio>
 #include <iomanip>
 #include <sstream>
 #include <utility>
@@ -20,6 +18,7 @@ constexpr const char* kAnomalyNames[kJourneyAnomalyCount] = {
     "drop",
     "retransmit",
     "reorder_evict",
+    "stall",
 };
 
 // Log2 bucket index for a non-negative delta: 0 holds exact zeros, bucket k holds
@@ -122,7 +121,11 @@ void JourneyRecorder::FoldStages(const JourneyRecord& record) {
 void JourneyRecorder::CountAnomaly(JourneyAnomaly why) {
   ++anomaly_counts_[static_cast<int>(why)];
   anomaly_counters_[static_cast<int>(why)]->Increment();
+  const bool first = !anomaly_fired_;
   anomaly_fired_ = true;
+  if (first && halt_hook_) {
+    halt_hook_();
+  }
 }
 
 void JourneyRecorder::Finish(uint64_t id, SimTime at, bool complete, int anomaly) {
@@ -141,6 +144,15 @@ void JourneyRecorder::Finish(uint64_t id, SimTime at, bool complete, int anomaly
     if (deadline_ > 0 && birth != kJourneyUnstamped && at - birth > deadline_) {
       anomaly = static_cast<int>(JourneyAnomaly::kDeadlineMiss);
     }
+    if (deadline_ > 0 && last_completion_ != kJourneyUnstamped &&
+        at - last_completion_ > deadline_) {
+      if (anomaly >= 0) {
+        CountAnomaly(JourneyAnomaly::kStall);
+      } else {
+        anomaly = static_cast<int>(JourneyAnomaly::kStall);
+      }
+    }
+    last_completion_ = at;
   } else {
     ++aborted_;
     aborted_counter_->Increment();
@@ -329,20 +341,6 @@ void JourneyRecorder::DumpToTracer() {
                           prev);
     }
   }
-}
-
-bool WriteJourneyJson(const JourneyRecorder& recorder, const std::string& path) {
-  const std::string text = recorder.FlightJson();
-  std::FILE* file = std::fopen(path.c_str(), "w");
-  if (file == nullptr) {
-    return false;
-  }
-  const size_t written = std::fwrite(text.data(), 1, text.size(), file);
-  const bool ok = written == text.size() && std::fclose(file) == 0;
-  if (!ok && written != text.size()) {
-    std::fclose(file);
-  }
-  return ok;
 }
 
 }  // namespace ctms

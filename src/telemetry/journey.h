@@ -11,9 +11,17 @@
 // a paper-style stage breakdown table in the run summary.
 //
 // A bounded flight recorder retains the last N finished journeys (completed or aborted).
-// When an anomaly fires — deadline miss, drop, retransmit, reorder-evict — the run harness
-// dumps the ring as JSON and as SpanTracer spans on a per-packet track, so a faultsweep or
-// campaign cell yields a post-mortem of the exact packets that went wrong.
+// When an anomaly fires — deadline miss, drop, retransmit, reorder-evict, stall — the run
+// harness dumps the ring as JSON and as SpanTracer spans on a per-packet track, so a run
+// yields a post-mortem of the exact packets that went wrong.
+//
+// The anomalies include the trip conditions of the paper's §5.2.1 real-time harness, which
+// halted every machine and took a snapshot "if a packet was lost, had an extremely long
+// inter-departure or inter-arrival time, or there was an incorrect ordering of packets": a
+// lost packet is `drop` (fired by the layer that loses it), incorrect ordering is
+// `reorder_evict` (the receiver's sequence verdict), and the long inter-occurrence is
+// `stall` (a completion more than one deadline after the previous one). The flight ring is
+// the snapshot; the halt hook stops the run at the first anomaly.
 //
 // Determinism contract (same as the rest of telemetry): the recorder reads only SimTime
 // values passed by callers, never the RNG, the scheduler, or the wall clock. Journey ids
@@ -26,9 +34,11 @@
 #include <array>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <map>
 #include <optional>
 #include <string>
+#include <utility>
 
 #include "src/sim/time.h"
 #include "src/telemetry/metrics.h"
@@ -59,8 +69,9 @@ enum class JourneyAnomaly : int {
   kDrop,              // lost: mbuf exhaustion, ifqueue overflow, overrun, or wire loss
   kRetransmit,        // degradation policy re-sent a (presumed lost) packet
   kReorderEvict,      // receiver refused it: duplicate or outside the reorder window
+  kStall,             // delivered more than one deadline after the previous delivery
 };
-inline constexpr int kJourneyAnomalyCount = 4;
+inline constexpr int kJourneyAnomalyCount = 5;
 const char* JourneyAnomalyName(JourneyAnomaly anomaly);
 
 inline constexpr SimTime kJourneyUnstamped = -1;
@@ -106,7 +117,8 @@ class JourneyRecorder {
   void set_stage_histograms(bool on) { stage_histograms_ = on; }
   bool stage_histograms() const { return stage_histograms_; }
 
-  // End-to-end budget; a completed journey slower than this fires kDeadlineMiss. 0 = off.
+  // End-to-end budget; a completed journey slower than this fires kDeadlineMiss, and one
+  // completing more than this after the previous completion fires kStall. 0 = off.
   void set_deadline(SimDuration deadline) { deadline_ = deadline; }
   SimDuration deadline() const { return deadline_; }
 
@@ -118,8 +130,14 @@ class JourneyRecorder {
   // tx stages; the final hop's timing wins and deltas stay non-negative).
   void Stamp(uint64_t id, JourneyStage stage, SimTime at);
 
+  // Called once, at the first anomaly, the way the §5.2.1 harness halted every machine;
+  // tests point it at Simulation::Stop. Unset by default.
+  void set_halt_hook(std::function<void()> hook) { halt_hook_ = std::move(hook); }
+
   // Finishes a journey at delivery: stamps kDelivery, folds per-stage deltas into the
-  // summaries/histograms, checks the deadline, archives into the flight ring.
+  // summaries/histograms, checks the deadline and the gap since the previous delivery,
+  // archives into the flight ring. A late journey that also ends a stall counts under both
+  // anomalies; its record carries kDeadlineMiss.
   void Complete(uint64_t id, SimTime at);
 
   // Finishes a journey that did not reach delivery (drop, reorder eviction). Folds the
@@ -175,6 +193,8 @@ class JourneyRecorder {
   bool stage_histograms_ = false;
   bool anomaly_fired_ = false;
   SimDuration deadline_ = 0;
+  SimTime last_completion_ = kJourneyUnstamped;
+  std::function<void()> halt_hook_;
   uint64_t next_id_ = 1;
   uint64_t completed_ = 0;
   uint64_t aborted_ = 0;
@@ -201,9 +221,6 @@ class JourneyRecorder {
   static constexpr int kHistogramBuckets = 40;
   std::array<std::array<uint64_t, kHistogramBuckets>, kJourneyStageCount> histograms_{};
 };
-
-// Writes recorder.FlightJson() to `path`; false on I/O failure.
-bool WriteJourneyJson(const JourneyRecorder& recorder, const std::string& path);
 
 }  // namespace ctms
 

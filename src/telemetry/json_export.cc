@@ -38,6 +38,8 @@ void AppendArgs(std::ostringstream& os, const std::vector<TraceArg>& args) {
   os << "}";
 }
 
+}  // namespace
+
 bool WriteText(const std::string& text, const std::string& path) {
   std::FILE* file = std::fopen(path.c_str(), "w");
   if (file == nullptr) {
@@ -50,8 +52,6 @@ bool WriteText(const std::string& text, const std::string& path) {
   }
   return ok;
 }
-
-}  // namespace
 
 std::string JsonEscape(const std::string& s) {
   std::string out;

@@ -22,6 +22,10 @@
 
 namespace ctms {
 
+// Writes `text` to `path` (the one file writer behind every exporter, and behind the
+// flight-recorder dump). Returns false on I/O failure.
+bool WriteText(const std::string& text, const std::string& path);
+
 // Escapes `s` for inclusion inside a JSON string literal (quotes, backslashes, control
 // characters; non-ASCII bytes pass through untouched).
 std::string JsonEscape(const std::string& s);

@@ -255,13 +255,6 @@ StreamStats StreamEndpoints::Stats() const {
   return stats;
 }
 
-MediaSource& StreamEndpoints::source() {
-  if (media_source_ != nullptr) {
-    return *media_source_;
-  }
-  return *vca_source_;
-}
-
 CtmspRelay::CtmspRelay(Station* station, size_t in_port, size_t out_port,
                        RingAddress next_hop, Histogram* hop_latency) {
   TokenRingDriver* out = &station->driver(out_port);

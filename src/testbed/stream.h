@@ -116,8 +116,6 @@ class StreamEndpoints {
   VcaSourceDriver& vca_source() { return *vca_source_; }
   MediaServerSource& media_source() { return *media_source_; }
   VcaSinkDriver& sink() { return *sink_; }
-  // The stream's traffic generator behind the MediaSource interface (whichever exists).
-  MediaSource& source();
   const std::optional<MediaClass>& media_class() const { return media_class_; }
   // Recovery engines and the control-channel session; null on kNone streams.
   RecoveryTx* recovery_tx() { return recovery_tx_.get(); }

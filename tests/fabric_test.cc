@@ -138,9 +138,11 @@ TEST(FabricTest, RingOfRingsDeliversWithoutLoss) {
 }
 
 TEST(FabricTest, JourneysSurviveBridgeHandoffWithProvenance) {
-  FabricConfig config = ShortFabric(FabricTopology::kChain, 2);
-  config.journeys = true;
+  const FabricConfig config = ShortFabric(FabricTopology::kChain, 2);
   FabricExperiment experiment(config);
+  for (size_t i = 0; i < experiment.shard_count(); ++i) {
+    experiment.shard(i).sim().telemetry().journeys.Enable();
+  }
   const FabricReport report = experiment.Run();
   EXPECT_TRUE(report.Healthy());
   // Shard 1's sink terminates the 0 -> 1 flow, so its flight recorder holds journeys born

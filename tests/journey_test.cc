@@ -1,16 +1,20 @@
-// Journey recorder: unit semantics (id lifecycle, stage deltas, flight ring, anomalies)
-// and the two end-to-end guarantees — a short Test Case B with --journeys covers every
-// stage from source IRQ to delivery, and a same-seed run is bit-identical with the
-// recorder on or off.
+// Journey recorder: unit semantics (id lifecycle, stage deltas, flight ring, anomalies),
+// the §5.2.1 trip conditions (lost packet, incorrect ordering, long inter-occurrence) and
+// the halt at the first one, and the two end-to-end guarantees — a short Test Case B with
+// journeys covers every stage from source IRQ to delivery, and a same-seed run of every
+// experiment that reads --journeys reports the same with the recorder on or off.
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
 
 #include "src/core/ctms.h"
+#include "src/core/experiment_registry.h"
 #include "src/telemetry/journey.h"
 #include "src/telemetry/metrics.h"
 #include "src/telemetry/telemetry.h"
+#include "tests/report_matchers.h"
 
 namespace ctms {
 namespace {
@@ -137,13 +141,100 @@ TEST(JourneyRecorderTest, DumpToTracerEmitsPerPacketTracks) {
   EXPECT_TRUE(journey_track);
 }
 
+// --- the §5.2.1 trip conditions ---------------------------------------------------------
+
+TEST(JourneyAnomalyTest, HaltsOnLostPacket) {
+  Simulation sim(1);
+  JourneyRecorder& journeys = sim.telemetry().journeys;
+  journeys.set_deadline(Milliseconds(48));
+  journeys.Enable();
+  journeys.set_halt_hook([&sim]() { sim.Stop(); });
+  for (uint32_t seq = 1; seq <= 5; ++seq) {
+    sim.At(seq * Milliseconds(12), [&journeys, &sim, seq]() {
+      const uint64_t id = journeys.Begin(seq, sim.Now());
+      if (seq == 3) {
+        journeys.Abort(id, JourneyAnomaly::kDrop, sim.Now());  // 3 vanished
+      } else {
+        journeys.Complete(id, sim.Now());
+      }
+    });
+  }
+  sim.RunFor(Seconds(10));
+  // The drop halted the run at its own instant: packets 4 and 5 never left.
+  EXPECT_EQ(sim.Now(), Milliseconds(36));
+  EXPECT_EQ(journeys.anomaly_count(JourneyAnomaly::kDrop), 1u);
+  EXPECT_EQ(journeys.begun(), 3u);
+  // The flight ring is the snapshot: the window up to and including the lost packet.
+  ASSERT_EQ(journeys.flight().size(), 3u);
+  EXPECT_EQ(journeys.flight().back().seq, 3u);
+  EXPECT_EQ(journeys.flight().back().anomaly, static_cast<int>(JourneyAnomaly::kDrop));
+}
+
+TEST(JourneyAnomalyTest, CountsReorderEvictionThenStall) {
+  Telemetry telemetry;
+  JourneyRecorder& journeys = telemetry.journeys;
+  journeys.set_deadline(Milliseconds(48));
+  journeys.Enable();
+  // Incorrect ordering: 4 arrives after 5 and the receiver refuses it.
+  journeys.Complete(journeys.Begin(5, Milliseconds(80)), Milliseconds(90));
+  journeys.Abort(journeys.Begin(4, Milliseconds(80)), JourneyAnomaly::kReorderEvict,
+                 Milliseconds(91));
+  journeys.Complete(journeys.Begin(6, Milliseconds(92)), Milliseconds(100));
+  EXPECT_EQ(journeys.anomaly_count(JourneyAnomaly::kReorderEvict), 1u);
+  EXPECT_EQ(journeys.anomaly_count(JourneyAnomaly::kStall), 0u);
+  // A long inter-occurrence: the next delivery comes 200 ms after the one at 100 ms, more
+  // than one deadline, though the packet itself is on time.
+  journeys.Complete(journeys.Begin(7, Milliseconds(296)), Milliseconds(300));
+  EXPECT_EQ(journeys.anomaly_count(JourneyAnomaly::kStall), 1u);
+  EXPECT_EQ(journeys.anomaly_count(JourneyAnomaly::kDeadlineMiss), 0u);
+  EXPECT_EQ(journeys.flight().back().anomaly, static_cast<int>(JourneyAnomaly::kStall));
+  EXPECT_EQ(telemetry.metrics.GetCounter("journey.anomaly.stall")->value(), 1u);
+  EXPECT_NE(journeys.FlightJson().find("\"stall\": 1"), std::string::npos);
+}
+
+TEST(JourneyAnomalyTest, CleanStreamNeverTrips) {
+  Telemetry telemetry;
+  JourneyRecorder& journeys = telemetry.journeys;
+  journeys.set_deadline(Milliseconds(48));
+  journeys.Enable();
+  for (uint32_t seq = 1; seq <= 500; ++seq) {
+    const uint64_t id = journeys.Begin(seq, seq * Milliseconds(12));
+    journeys.Complete(id, seq * Milliseconds(12) + Microseconds(10800));
+  }
+  EXPECT_FALSE(journeys.anomaly_fired());
+  EXPECT_EQ(journeys.completed(), 500u);
+}
+
+TEST(JourneyAnomalyTest, HaltsTheWholeTestbedOnInjectedLoss) {
+  // End to end, the way the paper used it: a Test Case A stream with the recorder set up as
+  // --journeys sets it up and the halt armed; a purge kills a packet mid-run; every machine
+  // freezes at the trip point.
+  ScenarioConfig cli;
+  cli.duration_s = 30;
+  cli.journeys = true;
+  CtmsExperiment experiment(CtmsConfigFrom(cli));
+  JourneyRecorder& journeys = experiment.sim().telemetry().journeys;
+  ConfigureJourneys(cli, &journeys);
+  journeys.set_halt_hook([&experiment]() { experiment.sim().Stop(); });
+  experiment.Start();
+  // 511 ms is mid-wire for the packet sent at 504 ms: the purge kills exactly that one.
+  experiment.sim().After(Milliseconds(511),
+                         [&experiment]() { experiment.ring().TriggerRingPurge(); });
+  experiment.sim().RunFor(Seconds(30));
+  ASSERT_TRUE(journeys.anomaly_fired());
+  EXPECT_EQ(journeys.anomaly_count(JourneyAnomaly::kDrop), 1u);
+  EXPECT_EQ(journeys.flight().back().anomaly, static_cast<int>(JourneyAnomaly::kDrop));
+  // The halt froze the run well before the configured end.
+  EXPECT_LT(experiment.sim().Now(), Seconds(2));
+}
+
 // --- end to end ----------------------------------------------------------------------------
 
 TEST(JourneyEndToEndTest, ShortTestCaseBCoversEveryStage) {
   CtmsConfig config = TestCaseB();
   config.duration = Seconds(2);
-  config.journeys = true;
   CtmsExperiment experiment(config);
+  experiment.sim().telemetry().journeys.Enable();
   const ExperimentReport report = experiment.Run();
   MetricsRegistry& metrics = experiment.sim().telemetry().metrics;
   for (int s = 0; s < kJourneyStageCount; ++s) {
@@ -158,22 +249,72 @@ TEST(JourneyEndToEndTest, ShortTestCaseBCoversEveryStage) {
   EXPECT_LT(metrics.GetSummary("journey.e2e")->max(), Seconds(1));
 }
 
+// Every registry entry outside journey.*, rendered for comparison.
+std::map<std::string, std::string> NonJourneyEntries(const MetricsRegistry& metrics) {
+  std::map<std::string, std::string> entries;
+  const auto keep = [](const std::string& name) {
+    return name.find("journey.") == std::string::npos;
+  };
+  for (const auto& [name, counter] : metrics.counters()) {
+    if (keep(name)) {
+      entries["counter " + name] = std::to_string(counter.value());
+    }
+  }
+  for (const auto& [name, gauge] : metrics.gauges()) {
+    if (keep(name)) {
+      entries["gauge " + name] =
+          std::to_string(gauge.value()) + " peak " + std::to_string(gauge.peak());
+    }
+  }
+  for (const auto& [name, summary] : metrics.summaries()) {
+    if (keep(name)) {
+      entries["summary " + name] = std::to_string(summary.count()) + " " +
+                                   std::to_string(summary.sum()) + " " +
+                                   std::to_string(summary.min()) + " " +
+                                   std::to_string(summary.max());
+    }
+  }
+  return entries;
+}
+
 TEST(GoldenEquivalence, JourneysOnOffReportsIdentical) {
-  CtmsConfig off_config = TestCaseB();
-  off_config.duration = Seconds(3);
-  CtmsExperiment off_experiment(off_config);
-  const std::string off_summary = off_experiment.Run().Summary();
-
-  CtmsConfig on_config = TestCaseB();
-  on_config.duration = Seconds(3);
-  on_config.journeys = true;
-  on_config.stage_histograms = true;
-  on_config.flight_recorder = 8;
-  CtmsExperiment on_experiment(on_config);
-  const std::string on_summary = on_experiment.Run().Summary();
-
-  // The recorder observes; it must not perturb. Same seed, same report, byte for byte.
-  EXPECT_EQ(off_summary, on_summary);
+  // The recorder observes; it must not perturb. Every row that reads --journeys runs one
+  // seed with journeys off and on (plus stage histograms and a small flight ring where the
+  // row reads them): same stats, same health verdict, same registry outside journey.*.
+  int rows = 0;
+  for (const ExperimentEntry& entry : Experiments()) {
+    if (entry.run == nullptr || !ScenarioFlagReadBy("journeys", entry.name)) {
+      continue;
+    }
+    SCOPED_TRACE(entry.name);
+    ++rows;
+    ScenarioConfig off;
+    off.experiment = entry.name;
+    off.duration_s = 3;
+    off.seed = 3;
+    if (ScenarioFlagReadBy("scenario", entry.name)) {
+      off.scenario = "B";
+    }
+    ScenarioConfig on = off;
+    on.journeys = true;
+    if (ScenarioFlagReadBy("stage-histograms", entry.name)) {
+      on.stage_histograms = true;
+      on.flight_recorder = 8;
+    }
+    ASSERT_EQ(ValidateScenarioConfig(on), "");
+    const ExperimentRun without = entry.run(off, /*output=*/false);
+    const ExperimentRun with = entry.run(on, /*output=*/false);
+    ExpectSameStatList(without.info.stats, with.info.stats);
+    EXPECT_EQ(without.healthy, with.healthy);
+    ASSERT_TRUE(without.metrics != nullptr && with.metrics != nullptr);
+    EXPECT_EQ(NonJourneyEntries(*without.metrics), NonJourneyEntries(*with.metrics));
+    uint64_t begun = 0;  // a fabric's registry holds every shard's under "shard<i>."
+    for (const auto& [name, counter] : with.metrics->counters()) {
+      begun += name.ends_with("journey.begun") ? counter.value() : 0;
+    }
+    EXPECT_GT(begun, 0u);
+  }
+  EXPECT_EQ(rows, 5);  // ctms, server, router, fabric, mediamix
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-// Media-class / MediaSource tests: the class registry and --mix parsing, the VBR burst
+// Media-class tests: the class registry and --mix parsing, the VBR burst
 // rate model, per-class QoE accounting through the mediamix experiment, the unified
 // class.<name>.* report rows, the ring priority/reservation machinery the quality
 // controller actuates, and the contract that matters most: a vca-class stream is
@@ -223,11 +223,12 @@ TEST(MediaMixTest, VbrBurstModelIsMeanOneLognormal) {
   MediaMixExperiment experiment(config);
   const MediaMixReport report = experiment.Run();
   ASSERT_EQ(experiment.stream_count(), 1u);
-  const MediaSourceStats stats = experiment.endpoints(0).source().SourceStats();
-  ASSERT_GT(stats.packets, 500u);
+  const VcaSourceDriver& source = experiment.endpoints(0).vca_source();
+  ASSERT_GT(source.packets_built(), 500u);
   // The lognormal burst factor is mean-one by construction, so the long-run mean byte
   // rate must stay at the descriptor's 720 B/packet despite per-packet variance.
-  const double mean = static_cast<double>(stats.bytes) / static_cast<double>(stats.packets);
+  const double mean = static_cast<double>(source.bytes_built()) /
+                      static_cast<double>(source.packets_built());
   EXPECT_NEAR(mean, 720.0, 720.0 * 0.05);
   // And it must actually burst: a quiet single-stream ring still sees byte spread.
   EXPECT_TRUE(report.Healthy()) << report.Summary();
@@ -341,7 +342,7 @@ TEST(MediaMixTest, SummaryStatsUseUnifiedClassKeys) {
 
 TEST(MediaClassTest, VcaClassMatchesLegacyRouterStreamExactly) {
   // The vca class descriptor is the paper's stream: same 2000 B / 12 ms rate model, no
-  // burstiness. Routing it through the MediaSource path must reproduce the legacy stream's
+  // burstiness. Adopting the class descriptor must reproduce the legacy stream's
   // delivery behaviour event for event (the class adds accounting, not behaviour).
   for (const uint64_t seed : {1u, 2u, 3u}) {
     RouterConfig legacy;

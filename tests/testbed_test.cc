@@ -337,8 +337,11 @@ TEST(GoldenEquivalence, FabricFourRingsFiveSecondsSeed3) {
   config.stations_per_ring = 6;
   config.duration = Seconds(5);
   config.seed = 3;
-  config.journeys = true;  // exercise cross-shard journey Detach/Adopt too
   FabricExperiment experiment(config);
+  for (size_t i = 0; i < experiment.shard_count(); ++i) {
+    // Exercise cross-shard journey Detach/Adopt too.
+    experiment.shard(i).sim().telemetry().journeys.Enable();
+  }
   const FabricReport r = experiment.Run();
   EXPECT_EQ(r.packets_built, 1664u);
   EXPECT_EQ(r.packets_delivered, 1656u);

@@ -112,13 +112,16 @@ void PrintUsage() {
       "                        (campaign: the merged aggregate + per-run document)\n"
       "  --trace-json=FILE     write a Chrome trace-event JSON (Perfetto-loadable)\n"
       "  --print-metrics       print every telemetry counter after the run\n\n"
-      "packet journeys (ctms; fabric and campaign cells count --journeys in metrics):\n"
+      "packet journeys (ctms, server, router, mediamix; fabric and campaign cells count\n"
+      "--journeys in metrics only):\n"
       "  --journeys            per-packet lifecycle recording with a per-stage latency\n"
-      "                        breakdown (source IRQ to delivery) in the run summary\n"
+      "                        breakdown (source IRQ to delivery) in the run summary;\n"
+      "                        deadline 4 x --period-ms\n"
       "  --flight-recorder=N   finished journeys retained for post-mortems (default 64)\n"
       "  --journey-json=FILE   write the flight-recorder dump; when omitted, an anomaly\n"
-      "                        (deadline miss, drop, retransmit, reorder-evict) writes\n"
-      "                        flight_recorder.json automatically\n"
+      "                        (deadline miss, drop, retransmit, reorder-evict, stall: a\n"
+      "                        delivery more than one deadline after the previous one)\n"
+      "                        writes flight_recorder.json automatically\n"
       "  --stage-histograms    per-stage log2 delta histograms in the breakdown\n");
 }
 
