@@ -561,12 +561,14 @@ void ConfigureJourneys(const ScenarioConfig& cli, JourneyRecorder* journeys) {
   if (!cli.journeys) {
     return;
   }
-  // Journey recording reads SimTime only, so enabling it cannot perturb the run; the
-  // deadline (4x the packet period) is generous enough that only genuinely late packets
-  // fire the deadline-miss anomaly, and only a genuinely silent stream fires a stall.
+  // Journey recording reads SimTime only, so enabling it cannot perturb the run. The
+  // deadline is 4x the packet period per store-and-forward hop (--chain-hops is 1 outside
+  // router; each router hop adds about one period of latency), so only genuinely late
+  // packets fire the deadline-miss anomaly. A stall fires when the whole recorder (every
+  // stream of one simulation) delivers nothing for more than one deadline.
   journeys->set_flight_capacity(static_cast<size_t>(cli.flight_recorder));
   journeys->set_stage_histograms(cli.stage_histograms);
-  journeys->set_deadline(4 * Milliseconds(cli.period_ms));
+  journeys->set_deadline(4 * Milliseconds(cli.period_ms) * cli.chain_hops);
   journeys->Enable();
 }
 

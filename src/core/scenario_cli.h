@@ -169,7 +169,8 @@ FabricConfig FabricConfigFrom(const ScenarioConfig& cli);
 MediaMixConfig MediaMixConfigFrom(const ScenarioConfig& cli);
 
 // Turns on one simulation's journey recorder under --journeys, with the --flight-recorder
-// depth, --stage-histograms, and a deadline of 4x --period-ms; no-op without --journeys.
+// depth, --stage-histograms, and a deadline of 4x --period-ms per --chain-hops hop; no-op
+// without --journeys.
 // The one place a recorder is set up from flags: the experiment registry calls it for every
 // simulation of a run (once per fabric shard).
 void ConfigureJourneys(const ScenarioConfig& cli, JourneyRecorder* journeys);

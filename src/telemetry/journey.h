@@ -118,7 +118,8 @@ class JourneyRecorder {
   bool stage_histograms() const { return stage_histograms_; }
 
   // End-to-end budget; a completed journey slower than this fires kDeadlineMiss, and one
-  // completing more than this after the previous completion fires kStall. 0 = off.
+  // completing more than this after the previous completion in this recorder (any stream
+  // of the simulation, not the same stream) fires kStall. 0 = off.
   void set_deadline(SimDuration deadline) { deadline_ = deadline; }
   SimDuration deadline() const { return deadline_; }
 

@@ -228,6 +228,21 @@ TEST(JourneyAnomalyTest, HaltsTheWholeTestbedOnInjectedLoss) {
   EXPECT_LT(experiment.sim().Now(), Seconds(2));
 }
 
+TEST(JourneyAnomalyTest, DeadlineScalesWithRouterChainDepth) {
+  // Each store-and-forward hop adds about one packet period, so a flat 4-period deadline
+  // (48 ms) would mark every delivery of a healthy 3-hop chain (e2e ~63 ms) late.
+  ScenarioConfig cli;
+  cli.experiment = "router";
+  cli.chain_hops = 3;
+  cli.duration_s = 3;
+  cli.journeys = true;
+  const ExperimentRun run = FindExperiment("router")->run(cli, /*output=*/false);
+  EXPECT_TRUE(run.healthy);
+  EXPECT_GT(run.metrics->GetCounter("journey.completed")->value(), 0u);
+  EXPECT_EQ(run.metrics->GetCounter("journey.anomaly.deadline_miss")->value(), 0u);
+  EXPECT_GT(run.metrics->GetSummary("journey.e2e")->max(), 4 * Milliseconds(cli.period_ms));
+}
+
 // --- end to end ----------------------------------------------------------------------------
 
 TEST(JourneyEndToEndTest, ShortTestCaseBCoversEveryStage) {
@@ -315,6 +330,21 @@ TEST(GoldenEquivalence, JourneysOnOffReportsIdentical) {
     EXPECT_GT(begun, 0u);
   }
   EXPECT_EQ(rows, 5);  // ctms, server, router, fabric, mediamix
+
+  // And ctms's report byte for byte: its latency summaries (handler_to_pre_tx,
+  // pre_tx_to_rx) are what stamps on CPU steps could shift, and the registry holds neither.
+  const auto ctms_summary = [](bool journeys) {
+    CtmsConfig config = TestCaseB();
+    config.duration = Seconds(3);
+    CtmsExperiment experiment(config);
+    ScenarioConfig cli;
+    cli.journeys = journeys;
+    cli.stage_histograms = true;
+    cli.flight_recorder = 8;
+    ConfigureJourneys(cli, &experiment.sim().telemetry().journeys);
+    return experiment.Run().Summary();
+  };
+  EXPECT_EQ(ctms_summary(false), ctms_summary(true));
 }
 
 }  // namespace

@@ -116,11 +116,12 @@ void PrintUsage() {
       "--journeys in metrics only):\n"
       "  --journeys            per-packet lifecycle recording with a per-stage latency\n"
       "                        breakdown (source IRQ to delivery) in the run summary;\n"
-      "                        deadline 4 x --period-ms\n"
+      "                        deadline 4 x --period-ms per --chain-hops hop\n"
       "  --flight-recorder=N   finished journeys retained for post-mortems (default 64)\n"
       "  --journey-json=FILE   write the flight-recorder dump; when omitted, an anomaly\n"
       "                        (deadline miss, drop, retransmit, reorder-evict, stall: a\n"
-      "                        delivery more than one deadline after the previous one)\n"
+      "                        delivery more than one deadline after the previous one\n"
+      "                        of any stream in the run, not per stream)\n"
       "                        writes flight_recorder.json automatically\n"
       "  --stage-histograms    per-stage log2 delta histograms in the breakdown\n");
 }
