@@ -26,7 +26,7 @@ void Run(const char* label, ctms::ServerConfig config) {
   uint64_t lost = 0;
   uint64_t underruns = 0;
   for (const auto& client : report.clients) {
-    starvations += client.server_starvations;
+    starvations += client.starvations;
     lost += client.lost;
     underruns += client.underruns;
   }

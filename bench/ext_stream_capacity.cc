@@ -39,8 +39,7 @@ int main() {
     uint64_t worst_lost = 0;
     uint64_t worst_underruns = 0;
     SimDuration worst_latency = 0;
-    for (const MediaMixStreamQuality& stream : report.streams) {
-      const StreamStats& stats = stream.stats;
+    for (const StreamStats& stats : report.streams) {
       sustained = sustained && Sustained(stats);
       worst_lost = std::max(worst_lost, stats.lost + stats.queue_drops);
       worst_underruns = std::max(worst_underruns, stats.underruns);

@@ -3,9 +3,10 @@
 
 Compares a freshly produced BENCH_*.json against the committed copy and exits nonzero
 when any metric has degraded beyond its tolerance. The committed files are the perf
-trajectory of the repo: they are produced by the same `scripts/check.sh` smoke runs that
-this gate re-runs, so fresh-vs-committed is an apples-to-apples comparison on whatever
-machine is running the gate.
+trajectory of the repo: full-mode runs (not `--smoke`), regenerated deliberately as
+bench/trajectory/README.md describes, on whatever machine made them. `scripts/check.sh`
+compares its own smoke runs against them, so fresh-vs-committed crosses run mode and
+machine: the tolerances below have to absorb both differences as well as runner noise.
 
 Usage:
     bench_regression.py BASELINE FRESH    # one bench file pair; exit 1 on regression

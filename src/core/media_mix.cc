@@ -39,7 +39,6 @@ MediaMixExperiment::MediaMixExperiment(MediaMixConfig config)
     const int k = class_counts[media_class.name]++;
     const std::string suffix = media_class.name + std::to_string(k);
     Stream stream;
-    stream.media_class = media_class;
     stream.tx = &topo_.AddStation("tx_" + suffix);
     stream.tx->AttachRing(&ring, &topo_.probes(), port);
     stream.tx->AttachBackgroundActivity(topo_.sim().rng().Fork());
@@ -95,46 +94,11 @@ MediaMixReport MediaMixExperiment::Run() {
 
   MediaMixReport report;
   report.config = config_;
-  // Per-class aggregation in workload-entry order (first appearance wins the slot).
-  std::map<std::string, size_t> class_slot;
-  std::map<std::string, SimDuration> latency_sum;
   for (Stream& stream : streams_) {
-    MediaMixStreamQuality quality;
-    quality.media_class = stream.media_class.name;
-    quality.stats = stream.endpoints->Stats();
-    const StreamStats& stats = quality.stats;
-
-    auto it = class_slot.find(quality.media_class);
-    if (it == class_slot.end()) {
-      it = class_slot.emplace(quality.media_class, report.classes.size()).first;
-      MediaMixClassQoE qoe;
-      qoe.name = quality.media_class;
-      report.classes.push_back(qoe);
-    }
-    MediaMixClassQoE& qoe = report.classes[it->second];
-    ++qoe.streams;
-    qoe.built += stats.built;
-    qoe.delivered += stats.delivered;
-    qoe.lost += stats.lost;
-    qoe.queue_drops += stats.queue_drops + stats.mbuf_drops;
-    qoe.deadline_misses += stats.deadline_misses;
-    qoe.underruns += stats.underruns;
-    qoe.starvation_time += stats.starvation_time;
-    qoe.distortion += stats.distortion;
-    latency_sum[quality.media_class] += stats.mean_latency;
-    if (stats.max_latency > qoe.max_latency) {
-      qoe.max_latency = stats.max_latency;
-    }
-    report.streams.push_back(std::move(quality));
+    report.streams.push_back(stream.endpoints->Stats());
   }
-  for (MediaMixClassQoE& qoe : report.classes) {
-    if (qoe.delivered > 0) {
-      qoe.deadline_miss_rate =
-          static_cast<double>(qoe.deadline_misses) / static_cast<double>(qoe.delivered);
-    }
-    if (qoe.streams > 0) {
-      qoe.mean_latency = latency_sum[qoe.name] / qoe.streams;
-    }
+  report.classes = AggregateClasses(report.streams);
+  for (ClassQoE& qoe : report.classes) {
     if (controller_ != nullptr) {
       qoe.ring_priority = controller_->PriorityOf(qoe.name);
     }
@@ -151,8 +115,8 @@ MediaMixReport MediaMixExperiment::Run() {
 }
 
 bool MediaMixReport::Healthy() const {
-  for (const MediaMixStreamQuality& stream : streams) {
-    if (stream.stats.built == 0 || stream.stats.delivered == 0) {
+  for (const StreamStats& stream : streams) {
+    if (stream.built == 0 || stream.delivered == 0) {
       return false;
     }
   }
@@ -164,7 +128,7 @@ std::string MediaMixReport::Summary() const {
   os << streams.size() << " streams in " << classes.size() << " classes: ring "
      << ring_utilization * 100.0 << "% busy, aggregate distortion " << aggregate_distortion
      << (config.quality_controller ? " (quality controller on)" : " (FIFO)") << "\n";
-  for (const MediaMixClassQoE& qoe : classes) {
+  for (const ClassQoE& qoe : classes) {
     os << "  class " << qoe.name << " x" << qoe.streams << ": " << qoe.delivered << "/"
        << qoe.built << " delivered, " << qoe.lost << " lost, " << qoe.deadline_misses
        << " deadline misses (rate " << qoe.deadline_miss_rate << "), " << qoe.underruns

@@ -42,33 +42,13 @@ struct MediaMixConfig {
   FaultPlan faults;
 };
 
-struct MediaMixStreamQuality {
-  std::string media_class;
-  StreamStats stats;
-};
-
-// Per-class aggregate QoE: the unified class.<name>.* report surface.
-struct MediaMixClassQoE {
-  std::string name;
-  int streams = 0;
-  uint64_t built = 0;
-  uint64_t delivered = 0;
-  uint64_t lost = 0;
-  uint64_t queue_drops = 0;
-  uint64_t deadline_misses = 0;
-  uint64_t underruns = 0;
-  SimDuration starvation_time = 0;
-  double deadline_miss_rate = 0.0;  // misses / delivered
-  double distortion = 0.0;          // class-weighted loss/late/underrun proxy
-  SimDuration mean_latency = 0;     // averaged over the class's streams
-  SimDuration max_latency = 0;
-  int ring_priority = -1;  // controller's final assignment; -1 when the controller is off
-};
+// The name simbench/simbench.cc spells; ClassQoE is the one class-row type.
+using MediaMixClassQoE = ClassQoE;
 
 struct MediaMixReport {
   MediaMixConfig config;
-  std::vector<MediaMixStreamQuality> streams;
-  std::vector<MediaMixClassQoE> classes;  // workload-entry order
+  std::vector<StreamStats> streams;
+  std::vector<ClassQoE> classes;  // workload-entry order
   double ring_utilization = 0.0;
   double aggregate_distortion = 0.0;  // sum over classes
   uint64_t ring_priority_preemptions = 0;
@@ -99,7 +79,6 @@ class MediaMixExperiment {
 
  private:
   struct Stream {
-    MediaClass media_class;
     Station* tx = nullptr;
     Station* rx = nullptr;
     std::unique_ptr<StreamEndpoints> endpoints;

@@ -1,59 +1,39 @@
 #include "src/core/report_stats.h"
 
-#include <map>
-
 namespace ctms {
 
 namespace {
 
-// Shared accumulator behind the unified class.<name>.* rows: every experiment that carries
-// classed streams flattens them through this so the key scheme cannot drift between
-// reports. Slot order is first appearance, which every experiment derives from its
-// deterministic construction order.
-struct ClassAccumulator {
-  struct Row {
-    std::string name;
-    double streams = 0;
-    double built = 0;
-    double delivered = 0;
-    double lost = 0;
-    double queue_drops = 0;
-    double deadline_misses = 0;
-    double underruns = 0;
-    double starvation_ms = 0;
-    double distortion = 0;
-  };
-
-  Row& RowFor(const std::string& name) {
-    auto it = slot.find(name);
-    if (it == slot.end()) {
-      it = slot.emplace(name, rows.size()).first;
-      rows.push_back(Row{});
-      rows.back().name = name;
-    }
-    return rows[it->second];
+// The class.<name>.* rows, one block per class in AggregateClasses' order, so the key
+// scheme cannot drift between reports.
+void AppendClassStats(const std::vector<ClassQoE>& classes, StatList* stats) {
+  for (const ClassQoE& qoe : classes) {
+    const std::string prefix = "class." + qoe.name + ".";
+    stats->emplace_back(prefix + "streams", static_cast<double>(qoe.streams));
+    stats->emplace_back(prefix + "built", static_cast<double>(qoe.built));
+    stats->emplace_back(prefix + "delivered", static_cast<double>(qoe.delivered));
+    stats->emplace_back(prefix + "lost", static_cast<double>(qoe.lost));
+    stats->emplace_back(prefix + "queue_drops", static_cast<double>(qoe.queue_drops));
+    stats->emplace_back(prefix + "deadline_misses", static_cast<double>(qoe.deadline_misses));
+    stats->emplace_back(prefix + "deadline_miss_rate", qoe.deadline_miss_rate);
+    stats->emplace_back(prefix + "underruns", static_cast<double>(qoe.underruns));
+    stats->emplace_back(prefix + "starvation_ms", ToSecondsF(qoe.starvation_time) * 1000.0);
+    stats->emplace_back(prefix + "distortion", qoe.distortion);
   }
+}
 
-  void AppendTo(StatList* stats) const {
-    for (const Row& row : rows) {
-      const std::string prefix = "class." + row.name + ".";
-      stats->emplace_back(prefix + "streams", row.streams);
-      stats->emplace_back(prefix + "built", row.built);
-      stats->emplace_back(prefix + "delivered", row.delivered);
-      stats->emplace_back(prefix + "lost", row.lost);
-      stats->emplace_back(prefix + "queue_drops", row.queue_drops);
-      stats->emplace_back(prefix + "deadline_misses", row.deadline_misses);
-      stats->emplace_back(prefix + "deadline_miss_rate",
-                          row.delivered > 0 ? row.deadline_misses / row.delivered : 0.0);
-      stats->emplace_back(prefix + "underruns", row.underruns);
-      stats->emplace_back(prefix + "starvation_ms", row.starvation_ms);
-      stats->emplace_back(prefix + "distortion", row.distortion);
+// Per-hop per-class forward counts, keyed back to class names from the wire ids; empty for
+// unclassed traffic. Router and fabric hops both carry `forwarded_by_class`.
+template <typename Hop>
+void AppendHopClassStats(const std::vector<Hop>& hops, StatList* stats) {
+  for (size_t k = 0; k < hops.size(); ++k) {
+    for (const auto& [id, count] : hops[k].forwarded_by_class) {
+      const MediaClass& mc = MediaClassById(static_cast<MediaClassId>(id));
+      stats->emplace_back("hop" + std::to_string(k) + "_class." + mc.name + ".forwarded",
+                          static_cast<double>(count));
     }
   }
-
-  std::map<std::string, size_t> slot;
-  std::vector<Row> rows;
-};
+}
 
 }  // namespace
 
@@ -98,10 +78,10 @@ StatList SummaryStats(const ServerReport& report) {
   uint64_t delivered = 0;
   uint64_t starvations = 0;
   uint64_t underruns = 0;
-  for (const ServerClientQuality& client : report.clients) {
-    sent += client.sent;
+  for (const StreamStats& client : report.clients) {
+    sent += client.built;
     delivered += client.delivered;
-    starvations += client.server_starvations;
+    starvations += client.starvations;
     underruns += client.underruns;
   }
   StatList stats = {
@@ -114,21 +94,7 @@ StatList SummaryStats(const ServerReport& report) {
       {"disk_utilization", report.disk_utilization},
       {"ring_utilization", report.ring_utilization},
   };
-  ClassAccumulator classes;
-  for (const ServerClientQuality& client : report.clients) {
-    if (client.media_class.empty()) {
-      continue;
-    }
-    ClassAccumulator::Row& row = classes.RowFor(client.media_class);
-    row.streams += 1;
-    row.built += static_cast<double>(client.sent);
-    row.delivered += static_cast<double>(client.delivered);
-    row.lost += static_cast<double>(client.lost);
-    row.deadline_misses += static_cast<double>(client.deadline_misses);
-    row.underruns += static_cast<double>(client.underruns);
-    row.distortion += client.distortion;
-  }
-  classes.AppendTo(&stats);
+  AppendClassStats(report.classes, &stats);
   return stats;
 }
 
@@ -160,27 +126,8 @@ StatList SummaryStats(const RouterReport& report) {
                          report.ring_utilization[r]);
     }
   }
-  if (!report.media_class.empty()) {
-    ClassAccumulator classes;
-    ClassAccumulator::Row& row = classes.RowFor(report.media_class);
-    row.streams = 1;
-    row.built = static_cast<double>(report.packets_built);
-    row.delivered = static_cast<double>(report.packets_delivered);
-    row.lost = static_cast<double>(report.packets_lost);
-    row.queue_drops = static_cast<double>(report.router_queue_drops());
-    row.deadline_misses = static_cast<double>(report.deadline_misses);
-    row.underruns = static_cast<double>(report.sink_underruns);
-    row.distortion = report.distortion;
-    classes.AppendTo(&stats);
-    // Per-hop per-class forward counts, keyed back to class names from the wire ids.
-    for (size_t k = 0; k < report.hops.size(); ++k) {
-      for (const auto& [id, count] : report.hops[k].forwarded_by_class) {
-        const MediaClass& mc = MediaClassById(static_cast<MediaClassId>(id));
-        stats.emplace_back("hop" + std::to_string(k) + "_class." + mc.name + ".forwarded",
-                           static_cast<double>(count));
-      }
-    }
-  }
+  AppendClassStats(report.classes, &stats);
+  AppendHopClassStats(report.hops, &stats);
   return stats;
 }
 
@@ -205,27 +152,8 @@ StatList SummaryStats(const FabricReport& report) {
     stats.emplace_back("ring" + std::to_string(r) + "_utilization",
                        report.ring_utilization[r]);
   }
-  ClassAccumulator classes;
-  for (const FabricClassStats& qoe : report.classes) {
-    ClassAccumulator::Row& row = classes.RowFor(qoe.name);
-    row.streams = static_cast<double>(qoe.flows);
-    row.built = static_cast<double>(qoe.built);
-    row.delivered = static_cast<double>(qoe.delivered);
-    row.lost = static_cast<double>(qoe.lost);
-    row.deadline_misses = static_cast<double>(qoe.deadline_misses);
-    row.underruns = static_cast<double>(qoe.underruns);
-    row.distortion = qoe.distortion;
-  }
-  classes.AppendTo(&stats);
-  if (!report.classes.empty()) {
-    for (size_t k = 0; k < report.hops.size(); ++k) {
-      for (const auto& [id, count] : report.hops[k].forwarded_by_class) {
-        const MediaClass& mc = MediaClassById(static_cast<MediaClassId>(id));
-        stats.emplace_back("hop" + std::to_string(k) + "_class." + mc.name + ".forwarded",
-                           static_cast<double>(count));
-      }
-    }
-  }
+  AppendClassStats(report.classes, &stats);
+  AppendHopClassStats(report.hops, &stats);
   return stats;
 }
 
@@ -241,23 +169,10 @@ StatList SummaryStats(const MediaMixReport& report) {
       {"controller_epochs", static_cast<double>(report.controller_epochs)},
       {"controller_updates", static_cast<double>(report.controller_updates)},
   };
-  ClassAccumulator classes;
-  for (const MediaMixClassQoE& qoe : report.classes) {
-    ClassAccumulator::Row& row = classes.RowFor(qoe.name);
-    row.streams = static_cast<double>(qoe.streams);
-    row.built = static_cast<double>(qoe.built);
-    row.delivered = static_cast<double>(qoe.delivered);
-    row.lost = static_cast<double>(qoe.lost);
-    row.queue_drops = static_cast<double>(qoe.queue_drops);
-    row.deadline_misses = static_cast<double>(qoe.deadline_misses);
-    row.underruns = static_cast<double>(qoe.underruns);
-    row.starvation_ms = ToSecondsF(qoe.starvation_time) * 1000.0;
-    row.distortion = qoe.distortion;
-  }
-  classes.AppendTo(&stats);
-  // Latency and the controller's final priority ride outside the shared accumulator: they
-  // are means/assignments, not summable counts.
-  for (const MediaMixClassQoE& qoe : report.classes) {
+  AppendClassStats(report.classes, &stats);
+  // Only mediamix reports class latency and the controller's final priority; they follow
+  // the shared rows.
+  for (const ClassQoE& qoe : report.classes) {
     const std::string prefix = "class." + qoe.name + ".";
     stats.emplace_back(prefix + "mean_latency_us", ToSecondsF(qoe.mean_latency) * 1e6);
     stats.emplace_back(prefix + "max_latency_us", ToSecondsF(qoe.max_latency) * 1e6);

@@ -61,11 +61,8 @@ RouterExperiment::RouterExperiment(RouterConfig config)
   for (size_t k = 0; k < hops; ++k) {
     const RingAddress next_hop =
         k + 1 < hops ? routers_[k + 1]->address(0) : dst_->address();
-    hop_latency_.push_back(std::make_unique<Histogram>(
-        "hop " + std::to_string(k) + " source-to-forward latency"));
     relays_.push_back(std::make_unique<CtmspRelay>(routers_[k], /*in_port=*/0,
-                                                   /*out_port=*/1, next_hop,
-                                                   hop_latency_.back().get()));
+                                                   /*out_port=*/1, next_hop));
   }
 
   src_->AttachBackgroundActivity(topo_.sim().rng().Fork());
@@ -108,9 +105,7 @@ RouterReport RouterExperiment::Run() {
   report.packets_delivered = stats.delivered;
   report.packets_lost = stats.lost;
   report.sink_underruns = stats.underruns;
-  report.media_class = stats.media_class;
-  report.deadline_misses = stats.deadline_misses;
-  report.distortion = stats.distortion;
+  report.classes = AggregateClasses({stats});
   for (size_t k = 0; k < routers_.size(); ++k) {
     RouterHopStats hop;
     hop.station = routers_[k]->name();
@@ -118,7 +113,6 @@ RouterReport RouterExperiment::Run() {
     hop.forwarded_by_class = relays_[k]->forwarded_by_class();
     hop.queue_drops = routers_[k]->driver(1).ctmsp_queue().drops();
     hop.cpu_utilization = routers_[k]->machine().cpu().Utilization();
-    hop.hop_latency = *hop_latency_[k];
     report.hops.push_back(std::move(hop));
   }
   report.packets_forwarded = report.hops.back().forwarded;
@@ -152,9 +146,9 @@ std::string RouterReport::Summary() const {
          << (r + 1 < ring_utilization.size() ? "" : "\n");
     }
   }
-  if (!media_class.empty()) {
-    os << "  class " << media_class << ": " << deadline_misses << " deadline misses, distortion "
-       << distortion << "\n";
+  for (const ClassQoE& qoe : classes) {
+    os << "  class " << qoe.name << ": " << qoe.deadline_misses
+       << " deadline misses, distortion " << qoe.distortion << "\n";
   }
   if (!end_to_end.empty()) {
     os << "  " << end_to_end.SummaryLine() << "\n";

@@ -57,7 +57,6 @@ struct RouterHopStats {
   // Per-class forward counts keyed by MediaClassId wire value; empty for unclassed
   // traffic. The relay reads the id straight off the packet, no payload parsing.
   std::map<uint8_t, uint64_t> forwarded_by_class;
-  Histogram hop_latency{"source-to-hop latency"};  // source IRQ to this hop's forward
 };
 
 struct RouterReport {
@@ -67,9 +66,7 @@ struct RouterReport {
   uint64_t packets_delivered = 0;
   uint64_t packets_lost = 0;
   uint64_t sink_underruns = 0;
-  std::string media_class;  // empty when the stream is unclassed
-  uint64_t deadline_misses = 0;
-  double distortion = 0.0;
+  std::vector<ClassQoE> classes;         // the stream's class; empty when unclassed
   std::vector<RouterHopStats> hops;      // one per router station, path order
   std::vector<double> ring_utilization;  // one per ring, path order (hops.size() + 1)
   Histogram end_to_end{"router end-to-end latency"};
@@ -122,7 +119,6 @@ class RouterExperiment {
   Station* dst_ = nullptr;
 
   std::unique_ptr<StreamEndpoints> stream_;
-  std::vector<std::unique_ptr<Histogram>> hop_latency_;
   std::vector<std::unique_ptr<CtmspRelay>> relays_;
 };
 

@@ -71,18 +71,9 @@ ServerReport ServerExperiment::Run() {
   ServerReport report;
   report.config = config_;
   for (Client& client : clients_) {
-    const StreamStats stats = client.endpoints->Stats();
-    ServerClientQuality quality;
-    quality.media_class = stats.media_class;
-    quality.sent = stats.built;
-    quality.delivered = stats.delivered;
-    quality.lost = stats.lost;
-    quality.server_starvations = stats.starvations;
-    quality.deadline_misses = stats.deadline_misses;
-    quality.underruns = stats.underruns;
-    quality.distortion = stats.distortion;
-    report.clients.push_back(quality);
+    report.clients.push_back(client.endpoints->Stats());
   }
+  report.classes = AggregateClasses(report.clients);
   report.server_cpu_utilization = server_->machine().cpu().Utilization();
   report.disk_utilization = disk_->Utilization();
   report.disk_sequential_fraction =
@@ -96,9 +87,9 @@ ServerReport ServerExperiment::Run() {
 }
 
 bool ServerReport::AllSustained() const {
-  for (const ServerClientQuality& client : clients) {
+  for (const StreamStats& client : clients) {
     if (client.delivered == 0 || client.lost > 0 || client.underruns > 0 ||
-        client.server_starvations > 0) {
+        client.starvations > 0) {
       return false;
     }
   }
@@ -114,14 +105,14 @@ std::string ServerReport::Summary() const {
      << "% sequential, worst service " << FormatDuration(disk_worst_service) << ")  ring "
      << ring_utilization * 100.0 << "%\n";
   int index = 0;
-  for (const ServerClientQuality& client : clients) {
+  for (const StreamStats& client : clients) {
     os << "  client " << index++;
     if (!client.media_class.empty()) {
       os << " [" << client.media_class << "]";
     }
-    os << ": " << client.delivered << "/" << client.sent << " delivered, " << client.lost
-       << " lost, " << client.server_starvations << " disk starvations, " << client.underruns
-       << " underruns";
+    os << ": " << client.delivered << "/" << client.built << " delivered, " << client.lost
+       << " lost, " << client.mbuf_drops + client.queue_drops << " source drops, "
+       << client.starvations << " disk starvations, " << client.underruns << " underruns";
     if (!client.media_class.empty()) {
       os << ", " << client.deadline_misses << " deadline misses, distortion "
          << client.distortion;

@@ -36,20 +36,10 @@ struct ServerConfig {
   FaultPlan faults;  // empty = no injector; runs stay bit-identical to plan-free ones
 };
 
-struct ServerClientQuality {
-  std::string media_class;  // empty for legacy unclassed clients
-  uint64_t sent = 0;
-  uint64_t delivered = 0;
-  uint64_t lost = 0;
-  uint64_t server_starvations = 0;  // ticks the disk had not staged a packet in time
-  uint64_t deadline_misses = 0;
-  uint64_t underruns = 0;
-  double distortion = 0.0;
-};
-
 struct ServerReport {
   ServerConfig config;
-  std::vector<ServerClientQuality> clients;
+  std::vector<StreamStats> clients;
+  std::vector<ClassQoE> classes;  // empty unless the clients are classed (--mix)
   double server_cpu_utilization = 0.0;
   double disk_utilization = 0.0;
   double disk_sequential_fraction = 0.0;

@@ -153,14 +153,10 @@ void VcaSourceDriver::OnIrq() {
       wire_bytes = std::max<int64_t>(
           1, static_cast<int64_t>(static_cast<double>(wire_bytes) * factor));
     }
-    // Build the packet: allocate the chain, store the precomputed header, the destination
-    // device number and the packet number.
-    job.AddStep(config_.build_cost,
-                [this]() {
-                  // Chain allocation happens in the action so pool occupancy reflects
-                  // interrupt-time reality.
-                },
-                Spl::kImp);
+    // Build the packet: this step charges the handler's work (chain allocation, header,
+    // destination device number and packet number stores). The pool allocation itself
+    // happens in the zero-cost step below, after any device copy and host compression.
+    job.AddStep(config_.build_cost, nullptr, Spl::kImp);
     if (config_.copy_device_data) {
       job.AddStep(config_.device_bytes * config_.pio_per_byte, nullptr, Spl::kImp);
     }

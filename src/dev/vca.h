@@ -62,8 +62,6 @@ class VcaSourceDriver {
     bool copy_device_data = false;
     int64_t device_bytes = 144;  // 12 ms of real 8 kHz 12-bit audio
     SimDuration pio_per_byte = Microseconds(2);
-    // Stock mode: the copy out of the card's kernel buffer into mbufs costs this per byte.
-    SimDuration stock_copy_per_byte = Microseconds(1);
 
     // --- compression (footnote 3) ---------------------------------------------------------
     CompressionSite compression = CompressionSite::kNone;

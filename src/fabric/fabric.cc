@@ -262,9 +262,10 @@ FabricReport FabricExperiment::Run() {
   FabricReport report;
   report.config = config_;
   report.sync_rounds = rounds;
-  std::map<std::string, size_t> class_slot;
-  for (int f = 0; f < n; ++f) {
-    const StreamStats stats = streams_[static_cast<size_t>(f)]->Stats();
+  // Only classed flows reach AggregateClasses, so an unclassed run allocates nothing here.
+  std::vector<StreamStats> classed_flows;
+  for (const std::unique_ptr<StreamEndpoints>& stream : streams_) {
+    StreamStats stats = stream->Stats();
     report.packets_built += stats.built;
     report.packets_delivered += stats.delivered;
     report.packets_lost += stats.lost;
@@ -273,23 +274,10 @@ FabricReport FabricExperiment::Run() {
       ++report.silent_flows;
     }
     if (!stats.media_class.empty()) {
-      auto it = class_slot.find(stats.media_class);
-      if (it == class_slot.end()) {
-        it = class_slot.emplace(stats.media_class, report.classes.size()).first;
-        FabricClassStats fresh;
-        fresh.name = stats.media_class;
-        report.classes.push_back(std::move(fresh));
-      }
-      FabricClassStats& qoe = report.classes[it->second];
-      ++qoe.flows;
-      qoe.built += stats.built;
-      qoe.delivered += stats.delivered;
-      qoe.lost += stats.lost;
-      qoe.deadline_misses += stats.deadline_misses;
-      qoe.underruns += stats.underruns;
-      qoe.distortion += stats.distortion;
+      classed_flows.push_back(std::move(stats));
     }
   }
+  report.classes = AggregateClasses(classed_flows);
   for (size_t k = 0; k < links_.size(); ++k) {
     for (int side = 0; side < 2; ++side) {
       const int from = side == 0 ? links_[k].a : links_[k].b;
@@ -336,8 +324,8 @@ std::string FabricReport::Summary() const {
      << packets_lost << " lost, " << sink_underruns << " underruns; " << link_packets
      << " link transfers, " << link_drops << " bridge drops\n";
   os << "  " << sync_rounds << " sync rounds, " << events_executed << " events\n";
-  for (const FabricClassStats& qoe : classes) {
-    os << "  class " << qoe.name << " x" << qoe.flows << ": " << qoe.delivered << "/"
+  for (const ClassQoE& qoe : classes) {
+    os << "  class " << qoe.name << " x" << qoe.streams << ": " << qoe.delivered << "/"
        << qoe.built << " delivered, " << qoe.lost << " lost, " << qoe.deadline_misses
        << " deadline misses, " << qoe.underruns << " underruns, distortion "
        << qoe.distortion << "\n";

@@ -91,19 +91,6 @@ struct FabricHopStats {
   std::map<uint8_t, uint64_t> forwarded_by_class;
 };
 
-// Per-class QoE aggregated over the fabric's flows — the same class.<name>.* surface the
-// mediamix, server and router reports expose, here summed across shards.
-struct FabricClassStats {
-  std::string name;
-  int flows = 0;
-  uint64_t built = 0;
-  uint64_t delivered = 0;
-  uint64_t lost = 0;
-  uint64_t deadline_misses = 0;
-  uint64_t underruns = 0;
-  double distortion = 0.0;
-};
-
 struct FabricReport {
   FabricConfig config;
   uint64_t packets_built = 0;      // across all flows
@@ -115,7 +102,7 @@ struct FabricReport {
   uint64_t events_executed = 0;    // summed over shards (deterministic per seed)
   std::vector<FabricHopStats> hops;      // 2 per link: a->b then b->a, link-index order
   std::vector<double> ring_utilization;  // one per shard
-  std::vector<FabricClassStats> classes;  // first-appearance order; empty when unclassed
+  std::vector<ClassQoE> classes;         // summed across shards; empty when unclassed
 
   // Every flow must deliver: a ring whose flows out and in deliver nothing fails the run
   // even while the other rings carry their traffic.

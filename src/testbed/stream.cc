@@ -1,5 +1,6 @@
 #include "src/testbed/stream.h"
 
+#include <algorithm>
 #include <utility>
 
 namespace ctms {
@@ -210,6 +211,8 @@ StreamStats StreamEndpoints::Stats() const {
   }
   if (media_source_ != nullptr) {
     stats.built = media_source_->packets_sent();
+    stats.mbuf_drops = media_source_->mbuf_drops();
+    stats.queue_drops = media_source_->queue_drops();
     stats.starvations = media_source_->starvations();
   }
   if (receiver_ != nullptr) {
@@ -255,13 +258,48 @@ StreamStats StreamEndpoints::Stats() const {
   return stats;
 }
 
+std::vector<ClassQoE> AggregateClasses(const std::vector<StreamStats>& streams) {
+  std::vector<ClassQoE> classes;
+  for (const StreamStats& stats : streams) {
+    if (stats.media_class.empty()) {
+      continue;
+    }
+    size_t slot = 0;
+    while (slot < classes.size() && classes[slot].name != stats.media_class) {
+      ++slot;
+    }
+    if (slot == classes.size()) {
+      classes.push_back(ClassQoE{.name = stats.media_class});
+    }
+    ClassQoE& qoe = classes[slot];
+    ++qoe.streams;
+    qoe.built += stats.built;
+    qoe.delivered += stats.delivered;
+    qoe.lost += stats.lost;
+    qoe.queue_drops += stats.queue_drops + stats.mbuf_drops;
+    qoe.deadline_misses += stats.deadline_misses;
+    qoe.underruns += stats.underruns;
+    qoe.starvation_time += stats.starvation_time;
+    qoe.distortion += stats.distortion;
+    qoe.mean_latency += stats.mean_latency;  // summed here, divided by streams below
+    qoe.max_latency = std::max(qoe.max_latency, stats.max_latency);
+  }
+  for (ClassQoE& qoe : classes) {
+    if (qoe.delivered > 0) {
+      qoe.deadline_miss_rate =
+          static_cast<double>(qoe.deadline_misses) / static_cast<double>(qoe.delivered);
+    }
+    qoe.mean_latency /= qoe.streams;
+  }
+  return classes;
+}
+
 CtmspRelay::CtmspRelay(Station* station, size_t in_port, size_t out_port,
-                       RingAddress next_hop, Histogram* hop_latency) {
+                       RingAddress next_hop) {
   TokenRingDriver* out = &station->driver(out_port);
-  Simulation* sim = station->sim();
-  station->driver(in_port).SetCtmspInput([this, out, sim, next_hop, hop_latency](
-                                             const Packet& packet, bool in_dma_buffer,
-                                             std::function<void()> release) {
+  station->driver(in_port).SetCtmspInput([this, out, next_hop](const Packet& packet,
+                                                               bool in_dma_buffer,
+                                                               std::function<void()> release) {
     Packet forward = packet;
     forward.dst = next_hop;
     // Zero-copy multi-hop: keep the arena payload reference for the next hop. The mbuf
@@ -270,9 +308,6 @@ CtmspRelay::CtmspRelay(Station* station, size_t in_port, size_t out_port,
     ++forwarded_;
     if (forward.media_class != 0) {
       ++forwarded_by_class_[forward.media_class];
-    }
-    if (hop_latency != nullptr) {
-      hop_latency->Add(sim->Now() - packet.created_at);
     }
     // Via-mbufs in-port: the packet now lives in this station's mbufs and the out-port
     // driver copies it into its own fixed DMA buffer as usual. Zero-copy (in_dma_buffer):

@@ -1,7 +1,8 @@
 // StreamEndpoints: wires one media stream between two stations — the CTMSP transmitter and
 // receiver connection state, the source (a VCA capture device or the media server's
 // disk-backed source), the playout sink, and the receive-side demux — and exposes one
-// per-stream accounting struct that every experiment report draws from.
+// per-stream accounting struct that every experiment report draws from, plus the one
+// per-class sum of it (AggregateClasses) behind every class.<name>.* report row.
 
 #ifndef SRC_TESTBED_STREAM_H_
 #define SRC_TESTBED_STREAM_H_
@@ -11,12 +12,12 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "src/dev/disk.h"
 #include "src/dev/media_server.h"
 #include "src/dev/media_source.h"
 #include "src/dev/vca.h"
-#include "src/measure/histogram.h"
 #include "src/proto/ctmsp.h"
 #include "src/proto/ctmsp2.h"
 #include "src/proto/recovery.h"
@@ -39,8 +40,8 @@ struct StreamStats {
   uint64_t nacks_sent = 0;             // reverse-signalling messages the receiver emitted
   uint64_t resends = 0;                // NACK-triggered retransmissions at the source
   int64_t parity_overhead_bytes = 0;   // extra wire bytes spent on FEC parity
-  uint64_t mbuf_drops = 0;
-  uint64_t queue_drops = 0;
+  uint64_t mbuf_drops = 0;       // source: failed mbuf allocations
+  uint64_t queue_drops = 0;      // source: CTMSP priority-queue overflow
   uint64_t starvations = 0;      // media streams: ticks the disk had not staged a packet
   uint64_t underruns = 0;
   int64_t peak_buffered_bytes = 0;
@@ -52,6 +53,28 @@ struct StreamStats {
   SimDuration starvation_time = 0;  // playout time the consumer sat starved
   double distortion = 0.0;          // class-weighted loss/late/underrun proxy
 };
+
+// One media class's QoE summed over its streams: the class.<name>.* report rows.
+struct ClassQoE {
+  std::string name;
+  int streams = 0;
+  uint64_t built = 0;
+  uint64_t delivered = 0;
+  uint64_t lost = 0;
+  uint64_t queue_drops = 0;  // source mbuf + CTMSP-queue drops
+  uint64_t deadline_misses = 0;
+  uint64_t underruns = 0;
+  SimDuration starvation_time = 0;  // sink playout starvation
+  double deadline_miss_rate = 0.0;  // misses / delivered
+  double distortion = 0.0;          // class-weighted loss/late/underrun proxy
+  SimDuration mean_latency = 0;     // mean of the class's stream means
+  SimDuration max_latency = 0;
+  int ring_priority = -1;  // mediamix controller's final assignment; -1 when none assigns one
+};
+
+// The one writer of class rows: classed streams summed per class, in first-appearance order.
+// Unclassed streams are skipped, so an unclassed run has no classes.
+std::vector<ClassQoE> AggregateClasses(const std::vector<StreamStats>& streams);
 
 class StreamEndpoints {
  public:
@@ -151,11 +174,7 @@ class StreamEndpoints {
 // buffer through plus a zero-copy-tx out-port is the pointer-passing mode.
 class CtmspRelay {
  public:
-  // `hop_latency`, when given, records source-to-this-hop latency (arrival time minus the
-  // packet's creation stamp) for every forwarded packet — the per-hop row in the fabric and
-  // deep-chain router reports. The histogram must outlive the relay.
-  CtmspRelay(Station* station, size_t in_port, size_t out_port, RingAddress next_hop,
-             Histogram* hop_latency = nullptr);
+  CtmspRelay(Station* station, size_t in_port, size_t out_port, RingAddress next_hop);
 
   uint64_t forwarded() const { return forwarded_; }
   // Forwarded counts keyed by MediaClassId, unclassed (0) traffic excluded; feeds the

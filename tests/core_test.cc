@@ -110,8 +110,7 @@ TEST(ZeroCopyTest, EliminatesTheTransmitCopy) {
 // asked of mediamix with --mix=vca:N. A stream is sustained when it built packets and
 // delivered all but the last two in flight, with no loss, queue drop or playout underrun.
 bool AllSustained(const MediaMixReport& report) {
-  for (const MediaMixStreamQuality& stream : report.streams) {
-    const StreamStats& stats = stream.stats;
+  for (const StreamStats& stats : report.streams) {
     if (stats.built == 0 || stats.lost > 0 || stats.underruns > 0 || stats.queue_drops > 0 ||
         stats.delivered + 2 < stats.built) {
       return false;
@@ -139,8 +138,8 @@ TEST(MediaMixCapacityTest, ThreeStreamsSaturateTheRing) {
   EXPECT_FALSE(AllSustained(report));
   EXPECT_GT(report.ring_utilization, 0.95);
   // Fairness: all three degrade together (same priority), none starves outright.
-  for (const MediaMixStreamQuality& stream : report.streams) {
-    EXPECT_GT(stream.stats.delivered, stream.stats.built * 9 / 10);
+  for (const StreamStats& stream : report.streams) {
+    EXPECT_GT(stream.delivered, stream.built * 9 / 10);
   }
 }
 

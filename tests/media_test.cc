@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -17,12 +18,15 @@
 #include "src/core/report_stats.h"
 #include "src/core/router.h"
 #include "src/core/scenario_cli.h"
+#include "src/core/server.h"
 #include "src/dev/media_source.h"
 #include "src/dev/vca.h"
+#include "src/fabric/fabric.h"
 #include "src/hw/machine.h"
 #include "src/ring/adapter.h"
 #include "src/ring/token_ring.h"
 #include "src/sim/simulation.h"
+#include "src/telemetry/metrics.h"
 
 namespace ctms {
 namespace {
@@ -308,7 +312,7 @@ TEST(MediaMixTest, QuietRingVoiceHasCleanQoE) {
   const MediaMixReport report = experiment.Run();
   EXPECT_TRUE(report.Healthy()) << report.Summary();
   ASSERT_EQ(report.classes.size(), 1u);
-  const MediaMixClassQoE& voice = report.classes[0];
+  const ClassQoE& voice = report.classes[0];
   EXPECT_EQ(voice.name, "voice");
   EXPECT_EQ(voice.streams, 2);
   EXPECT_EQ(voice.deadline_misses, 0u) << report.Summary();
@@ -338,6 +342,132 @@ TEST(MediaMixTest, SummaryStatsUseUnifiedClassKeys) {
   }
 }
 
+// --- class rows reconcile with their streams ------------------------------------------------
+//
+// Every experiment with classed streams writes class.<name>.queue_drops as what the class's
+// sources dropped (mbuf + CTMSP queue) and class.<name>.starvation_ms as what its sinks
+// counted in qoe.<name>.<station>.starvation_ns. Each run below is an overloaded command
+// for its experiment at seed 1, long enough that its classes drop or starve.
+
+struct ClassLedger {
+  uint64_t source_drops = 0;
+  uint64_t starvation_ns = 0;
+};
+using ClassLedgers = std::map<std::string, ClassLedger>;
+
+uint64_t CounterValue(const MetricsRegistry& metrics, const std::string& name) {
+  const auto it = metrics.counters().find(name);
+  return it == metrics.counters().end() ? 0 : it->second.value();
+}
+
+// mbuf plus CTMSP-queue drops of the source driver registered under `prefix`.
+uint64_t SourceDrops(const MetricsRegistry& metrics, const std::string& prefix) {
+  return CounterValue(metrics, prefix + ".mbuf_drops") +
+         CounterValue(metrics, prefix + ".queue_drops");
+}
+
+// Adds every qoe.<class>.<station>.starvation_ns counter to its class's ledger.
+void AddSinkStarvation(const MetricsRegistry& metrics, ClassLedgers* ledgers) {
+  for (const auto& [name, counter] : metrics.counters()) {
+    if (name.starts_with("qoe.") && name.ends_with(".starvation_ns")) {
+      (*ledgers)[name.substr(4, name.find('.', 4) - 4)].starvation_ns += counter.value();
+    }
+  }
+}
+
+void ExpectClassRowsReconcile(const StatList& stats, const ClassLedgers& ledgers) {
+  const auto stat = [&](const std::string& key) {
+    for (const auto& [name, value] : stats) {
+      if (name == key) return value;
+    }
+    ADD_FAILURE() << "no stat " << key;
+    return -1.0;
+  };
+  const auto rows = std::count_if(stats.begin(), stats.end(), [](const auto& kv) {
+    return kv.first.starts_with("class.") && kv.first.ends_with(".streams");
+  });
+  EXPECT_EQ(static_cast<size_t>(rows), ledgers.size());
+  uint64_t lost_to_drops_or_starvation = 0;
+  for (const auto& [name, ledger] : ledgers) {
+    SCOPED_TRACE("class " + name);
+    lost_to_drops_or_starvation += ledger.source_drops + ledger.starvation_ns;
+    EXPECT_EQ(stat("class." + name + ".queue_drops"), static_cast<double>(ledger.source_drops));
+    EXPECT_NEAR(stat("class." + name + ".starvation_ms"),
+                static_cast<double>(ledger.starvation_ns) / 1e6, 1e-6);
+  }
+  EXPECT_GT(lost_to_drops_or_starvation, 0u) << "nothing to reconcile";
+}
+
+ScenarioConfig ClassedRun(const std::string& experiment, const std::string& mix,
+                          int64_t duration_s) {
+  ScenarioConfig cli;
+  cli.experiment = experiment;
+  cli.mix = mix;
+  cli.duration_s = duration_s;
+  return cli;
+}
+
+TEST(ClassRowTest, ServerRowsReconcileWithTheirClients) {
+  ServerExperiment experiment(ServerConfigFrom(ClassedRun("server", "vbr:4,bulk:2", 20)));
+  const ServerReport report = experiment.Run();
+  const MetricsRegistry& metrics = experiment.sim().telemetry().metrics;
+  ClassLedgers ledgers;
+  uint64_t drops = 0;
+  for (const StreamStats& client : report.clients) {
+    ledgers[client.media_class].source_drops += client.mbuf_drops + client.queue_drops;
+    drops += client.mbuf_drops + client.queue_drops;
+  }
+  // Every client streams from the one server machine, whose counters hold the total.
+  EXPECT_EQ(drops, SourceDrops(metrics, "driver.media.server"));
+  AddSinkStarvation(metrics, &ledgers);
+  ExpectClassRowsReconcile(SummaryStats(report), ledgers);
+}
+
+TEST(ClassRowTest, RouterRowReconcilesWithItsSource) {
+  ScenarioConfig cli = ClassedRun("router", "vbr:1:400", 10);
+  cli.chain_hops = 2;
+  RouterExperiment experiment(RouterConfigFrom(cli));
+  const RouterReport report = experiment.Run();
+  const MetricsRegistry& metrics = experiment.sim().telemetry().metrics;
+  ClassLedgers ledgers;
+  ledgers["vbr"].source_drops = SourceDrops(metrics, "driver.vca.src");
+  AddSinkStarvation(metrics, &ledgers);
+  ExpectClassRowsReconcile(SummaryStats(report), ledgers);
+}
+
+TEST(ClassRowTest, FabricRowsReconcileAcrossShards) {
+  ScenarioConfig cli = ClassedRun("fabric", "vbr:1,voice:1", 10);
+  cli.rings = 4;
+  const FabricConfig config = FabricConfigFrom(cli);
+  FabricExperiment experiment(config);
+  const FabricReport report = experiment.Run();
+  // Flow f starts at shard f's src and takes class f mod len; its sink is on the next shard.
+  const std::vector<MediaClass> classes = ResolveWorkload(config.workload);
+  ClassLedgers ledgers;
+  for (size_t f = 0; f < experiment.shard_count(); ++f) {
+    const MetricsRegistry& metrics = experiment.shard(f).sim().telemetry().metrics;
+    ledgers[classes[f % classes.size()].name].source_drops +=
+        SourceDrops(metrics, "driver.vca.src");
+    AddSinkStarvation(metrics, &ledgers);
+  }
+  ExpectClassRowsReconcile(SummaryStats(report), ledgers);
+}
+
+TEST(ClassRowTest, MediaMixRowsReconcileWithTheirStreams) {
+  MediaMixExperiment experiment(
+      MediaMixConfigFrom(ClassedRun("mediamix", "voice:8,vbr:4,bulk:2", 10)));
+  const MediaMixReport report = experiment.Run();
+  const MetricsRegistry& metrics = experiment.sim().telemetry().metrics;
+  ClassLedgers ledgers;
+  for (size_t i = 0; i < experiment.stream_count(); ++i) {
+    StreamEndpoints& stream = experiment.endpoints(i);
+    ledgers[stream.media_class()->name].source_drops +=
+        SourceDrops(metrics, "driver.vca." + stream.tx().name());
+  }
+  AddSinkStarvation(metrics, &ledgers);
+  ExpectClassRowsReconcile(SummaryStats(report), ledgers);
+}
+
 // --- equivalence: the redesigned source layer does not disturb legacy behaviour -----------
 
 TEST(MediaClassTest, VcaClassMatchesLegacyRouterStreamExactly) {
@@ -358,8 +488,9 @@ TEST(MediaClassTest, VcaClassMatchesLegacyRouterStreamExactly) {
     EXPECT_EQ(a.sink_underruns, b.sink_underruns) << "seed " << seed;
     EXPECT_EQ(a.end_to_end.Summary().mean, b.end_to_end.Summary().mean) << "seed " << seed;
     EXPECT_EQ(a.ring_utilization, b.ring_utilization) << "seed " << seed;
-    EXPECT_TRUE(a.media_class.empty());
-    EXPECT_EQ(b.media_class, "vca");
+    EXPECT_TRUE(a.classes.empty());
+    ASSERT_EQ(b.classes.size(), 1u);
+    EXPECT_EQ(b.classes[0].name, "vca");
   }
 }
 
@@ -391,10 +522,10 @@ TEST(MediaMixTest, ControllerReducesAggregateDistortionVsFifo) {
   // The elastic bulk class absorbs the overload instead of the real-time classes: bulk is
   // parked at the elastic priority and combined real-time (voice+vbr) distortion drops.
   const auto qoe = [](const MediaMixReport& report, const std::string& name) {
-    for (const MediaMixClassQoE& c : report.classes) {
+    for (const ClassQoE& c : report.classes) {
       if (c.name == name) return c;
     }
-    return MediaMixClassQoE{};
+    return ClassQoE{};
   };
   EXPECT_EQ(qoe(controlled, "bulk").ring_priority, 0) << controlled.Summary();
   EXPECT_LT(qoe(controlled, "voice").distortion + qoe(controlled, "vbr").distortion,

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "src/core/server.h"
 #include "src/dev/disk.h"
 #include "src/dev/media_server.h"
@@ -130,7 +132,7 @@ TEST(ServerExperimentTest, TwoHalfRateClientsNeedReadAhead) {
   EXPECT_FALSE(thrash_report.AllSustained());
   uint64_t starvations = 0;
   for (const auto& client : thrash_report.clients) {
-    starvations += client.server_starvations;
+    starvations += client.starvations;
   }
   EXPECT_GT(starvations, 100u);
   EXPECT_GT(thrash_report.disk_utilization, 0.9);
@@ -155,7 +157,7 @@ TEST(ServerExperimentTest, AdapterSerializationCapsFullRateStreams) {
   uint64_t starvations = 0;
   for (const auto& client : report.clients) {
     lost += client.lost;
-    starvations += client.server_starvations;
+    starvations += client.starvations;
   }
   EXPECT_GT(lost, 100u);       // the driver queue overflows
   EXPECT_LT(starvations, 20u);  // and it is NOT the disk's fault
@@ -172,10 +174,36 @@ TEST(ServerExperimentTest, SmallFileLoopsAtEof) {
   config.duration = Seconds(10);
   const ServerReport report = ServerExperiment(config).Run();
   EXPECT_TRUE(report.AllSustained()) << report.Summary();
-  EXPECT_GT(report.clients[0].sent, 700u);  // several times the file's length
+  EXPECT_GT(report.clients[0].built, 700u);  // several times the file's length
   // Wraps break pure sequentiality but only once per pass.
   EXPECT_LT(report.disk_sequential_fraction, 1.0);
   EXPECT_GT(report.disk_sequential_fraction, 0.8);
+}
+
+TEST(ServerExperimentTest, SummaryNamesEachClientsSourceDrops) {
+  // Two full-rate clients exhaust the server's mbufs: each failed allocation is a source
+  // drop of one client, and the client's summary line names its count.
+  ServerConfig config;
+  config.clients = 2;
+  config.duration = Seconds(10);
+  ServerExperiment experiment(config);
+  const ServerReport report = experiment.Run();
+  const std::string summary = report.Summary();
+  uint64_t drops = 0;
+  for (size_t i = 0; i < report.clients.size(); ++i) {
+    const uint64_t client_drops = report.clients[i].mbuf_drops + report.clients[i].queue_drops;
+    EXPECT_GT(client_drops, 0u);
+    drops += client_drops;
+    const size_t line = summary.find("client " + std::to_string(i) + ":");
+    ASSERT_NE(line, std::string::npos) << summary;
+    EXPECT_NE(summary.substr(line, summary.find('\n', line) - line)
+                  .find(", " + std::to_string(client_drops) + " source drops,"),
+              std::string::npos)
+        << summary;
+  }
+  const auto& counters = experiment.sim().telemetry().metrics.counters();
+  EXPECT_EQ(drops, counters.at("driver.media.server.mbuf_drops").value() +
+                       counters.at("driver.media.server.queue_drops").value());
 }
 
 TEST(ServerExperimentTest, SummaryListsClients) {

@@ -246,7 +246,7 @@ TEST(GoldenEquivalence, MediaMixVcaTwoStreamsTenSecondsSeed2) {
   const MediaMixReport r = MediaMixExperiment(config).Run();
   EXPECT_NEAR(r.ring_utilization, 0.682700475000, 1e-9);
   ASSERT_EQ(r.streams.size(), 2u);
-  const StreamStats& s0 = r.streams[0].stats;
+  const StreamStats& s0 = r.streams[0];
   EXPECT_EQ(s0.built, 833u);
   EXPECT_EQ(s0.delivered, 832u);
   EXPECT_EQ(s0.lost, 0u);
@@ -254,7 +254,7 @@ TEST(GoldenEquivalence, MediaMixVcaTwoStreamsTenSecondsSeed2) {
   EXPECT_EQ(s0.underruns, 0u);
   EXPECT_EQ(s0.mean_latency, 17661821);
   EXPECT_EQ(s0.max_latency, 21340284);
-  const StreamStats& s1 = r.streams[1].stats;
+  const StreamStats& s1 = r.streams[1];
   EXPECT_EQ(s1.built, 832u);
   EXPECT_EQ(s1.delivered, 831u);
   EXPECT_EQ(s1.lost, 0u);
@@ -278,11 +278,11 @@ TEST(GoldenEquivalence, ServerTwoClientsTenSecondsSeed2) {
   EXPECT_EQ(r.disk_worst_service, 44722185);
   EXPECT_NEAR(r.ring_utilization, 0.344614200000, 1e-9);
   ASSERT_EQ(r.clients.size(), 2u);
-  for (const ServerClientQuality& client : r.clients) {
-    EXPECT_EQ(client.sent, 827u);
+  for (const StreamStats& client : r.clients) {
+    EXPECT_EQ(client.built, 827u);
     EXPECT_EQ(client.delivered, 826u);
     EXPECT_EQ(client.lost, 0u);
-    EXPECT_EQ(client.server_starvations, 0u);
+    EXPECT_EQ(client.starvations, 0u);
     EXPECT_EQ(client.underruns, 0u);
   }
 }
