@@ -34,14 +34,7 @@ class BasicInlineFunction {
             typename = std::enable_if_t<!std::is_same_v<D, BasicInlineFunction> &&
                                         std::is_invocable_r_v<void, D&>>>
   BasicInlineFunction(F&& f) {  // NOLINT(google-explicit-constructor)
-    if constexpr (sizeof(D) <= kInlineBytes && alignof(D) <= alignof(std::max_align_t) &&
-                  std::is_nothrow_move_constructible_v<D>) {
-      ::new (static_cast<void*>(storage_)) D(std::forward<F>(f));
-      ops_ = &InlineOps<D>::kOps;
-    } else {
-      ::new (static_cast<void*>(storage_)) D*(new D(std::forward<F>(f)));
-      ops_ = &HeapOps<D>::kOps;
-    }
+    Construct(std::forward<F>(f));
   }
 
   BasicInlineFunction(BasicInlineFunction&& other) noexcept : ops_(other.ops_) {
@@ -81,7 +74,35 @@ class BasicInlineFunction {
     }
   }
 
+  // Replaces the stored callable with one built directly in this object's storage from
+  // `f`: a callable passed as an rvalue is moved exactly once, where assigning a temporary
+  // BasicInlineFunction would move it twice (into the temporary, then relocated here).
+  template <typename F>
+  void Emplace(F&& f) {
+    using D = std::decay_t<F>;
+    if constexpr (std::is_same_v<D, BasicInlineFunction>) {
+      *this = std::forward<F>(f);
+    } else {
+      static_assert(std::is_invocable_r_v<void, D&>);
+      Reset();
+      Construct(std::forward<F>(f));
+    }
+  }
+
  private:
+  // Requires a disengaged object.
+  template <typename F, typename D = std::decay_t<F>>
+  void Construct(F&& f) {
+    if constexpr (sizeof(D) <= kInlineBytes && alignof(D) <= alignof(std::max_align_t) &&
+                  std::is_nothrow_move_constructible_v<D>) {
+      ::new (static_cast<void*>(storage_)) D(std::forward<F>(f));
+      ops_ = &InlineOps<D>::kOps;
+    } else {
+      ::new (static_cast<void*>(storage_)) D*(new D(std::forward<F>(f)));
+      ops_ = &HeapOps<D>::kOps;
+    }
+  }
+
   struct Ops {
     void (*invoke)(void* storage);
     void (*relocate)(void* from, void* to);  // move-construct into `to`, destroy `from`
