@@ -242,12 +242,7 @@ const std::vector<ChoiceCheck>& ChoiceChecks() {
   return checks;
 }
 
-// The longest simulated span a time flag may name, ~11.6 days: far above the longest run in
-// the repo (3,600 s), and small enough that no converter's multiply into nanoseconds, nor a
-// sum of a few such spans, can overflow SimTime.
-constexpr SimDuration kLongestSimulatedSpan = Seconds(1'000'000);
-
-// The largest value of a time flag counted in `unit`.
+// The largest value of a time flag counted in `unit` (see kLongestSimulatedSpan).
 constexpr int64_t MaxTimeIn(SimDuration unit) { return kLongestSimulatedSpan / unit; }
 
 // A numeric flag with an inclusive valid range.

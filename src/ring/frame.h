@@ -89,6 +89,11 @@ inline constexpr int64_t kFrameOverheadBytes = 21;
 // Size of a MAC control frame on the wire ("on the order of 20 bytes of data", section 4).
 inline constexpr int64_t kMacFrameBytes = 20;
 
+// The largest frame, in on-wire bytes (WireBytes), that the 4 Mbit/s ring may carry: the
+// 4,550-octet maximum frame size of IEEE 802.5 (ISO/IEC 8802-5) at 4 Mbit/s, which keeps a
+// station's transmission within the token-holding time (about 9.1 ms at 4 Mbit/s).
+inline constexpr int64_t kMaxWireBytes = 4550;
+
 // Returns the full on-wire size of a frame.
 int64_t WireBytes(const Frame& frame);
 

@@ -30,6 +30,11 @@ inline constexpr SimDuration kDay = 24 * kHour;
 // A sentinel meaning "never" / "no deadline".
 inline constexpr SimTime kTimeNever = INT64_MAX;
 
+// The longest simulated span any input may name (a time flag, a trace offset), ~11.6 days:
+// far above the longest run in the repo (3,600 s), and small enough that no converter's
+// multiply into nanoseconds, nor a sum of a few such spans, can overflow SimTime.
+inline constexpr SimDuration kLongestSimulatedSpan = 1'000'000 * kSecond;
+
 constexpr SimDuration Nanoseconds(int64_t n) { return n * kNanosecond; }
 constexpr SimDuration Microseconds(int64_t n) { return n * kMicrosecond; }
 constexpr SimDuration Milliseconds(int64_t n) { return n * kMillisecond; }

@@ -6,6 +6,9 @@
 #include <sstream>
 #include <utility>
 
+#include "src/ring/frame.h"
+#include "src/sim/time.h"
+
 namespace ctms {
 
 TraceReplayTraffic::TraceReplayTraffic(TokenRing* ring, std::vector<TraceEntry> trace)
@@ -35,7 +38,10 @@ std::optional<std::vector<TraceEntry>> TraceReplayTraffic::ParseCsv(const std::s
     char trailing = 0;
     const int matched =
         std::sscanf(line.c_str(), " %ld , %ld %c", &offset_us, &bytes, &trailing);
-    if (matched != 2 || offset_us < 0 || bytes <= 0) {
+    // An offset past the longest simulated span would overflow SimTime in Microseconds(),
+    // and a frame longer than 802.5 allows at 4 Mbit/s cannot cross the ring.
+    if (matched != 2 || offset_us < 0 || offset_us > kLongestSimulatedSpan / kMicrosecond ||
+        bytes <= 0 || bytes > kMaxWireBytes - kFrameOverheadBytes) {
       if (error_line != nullptr) {
         *error_line = line_number;
       }

@@ -27,7 +27,8 @@ class TraceReplayTraffic {
   TraceReplayTraffic(TokenRing* ring, std::vector<TraceEntry> trace);
 
   // Parses "offset_us,bytes" lines; returns nullopt on malformed input (the line number of
-  // the first error is written to *error_line when provided).
+  // the first error is written to *error_line when provided). An offset must lie within
+  // kLongestSimulatedSpan, and a frame of `bytes` payload must fit kMaxWireBytes on the wire.
   static std::optional<std::vector<TraceEntry>> LoadCsv(const std::string& path,
                                                         int* error_line = nullptr);
   static std::optional<std::vector<TraceEntry>> ParseCsv(const std::string& text,

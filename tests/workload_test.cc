@@ -265,6 +265,41 @@ TEST(TraceReplayTest, RejectsMalformedLinesWithLineNumber) {
   EXPECT_FALSE(TraceReplayTraffic::LoadCsv("/nonexistent-zzz.csv", &error_line).has_value());
 }
 
+TEST(TraceReplayTest, RejectsOffsetsPastTheLongestSimulatedSpan) {
+  // 9.3e15 us would overflow SimTime nanoseconds (Microseconds() multiplies by 1000).
+  int error_line = -1;
+  EXPECT_FALSE(TraceReplayTraffic::ParseCsv("0,60\n9300000000000000,100\n", &error_line));
+  EXPECT_EQ(error_line, 2);
+  const int64_t last_us = kLongestSimulatedSpan / kMicrosecond;
+  const auto at_bound = TraceReplayTraffic::ParseCsv(std::to_string(last_us) + ",100\n");
+  ASSERT_TRUE(at_bound.has_value());
+  EXPECT_EQ((*at_bound)[0].offset, kLongestSimulatedSpan);
+  EXPECT_FALSE(
+      TraceReplayTraffic::ParseCsv(std::to_string(last_us + 1) + ",100\n", &error_line));
+  EXPECT_EQ(error_line, 1);
+}
+
+TEST(TraceReplayTest, RejectsFramesLongerThan8025AllowsAt4Mbps) {
+  // A 2 GB frame used to overflow the ring's transmit-time product; any frame whose wire
+  // size exceeds kMaxWireBytes is refused, naming its line.
+  int error_line = -1;
+  EXPECT_FALSE(TraceReplayTraffic::ParseCsv("# big\n0,2000000000\n", &error_line));
+  EXPECT_EQ(error_line, 2);
+  const int64_t largest = kMaxWireBytes - kFrameOverheadBytes;
+  EXPECT_TRUE(TraceReplayTraffic::ParseCsv("0," + std::to_string(largest) + "\n"));
+  EXPECT_FALSE(
+      TraceReplayTraffic::ParseCsv("0,60\n5," + std::to_string(largest + 1) + "\n", &error_line));
+  EXPECT_EQ(error_line, 2);
+}
+
+TEST(TraceReplayTest, CampusTraceLoads) {
+  // The committed capture: at most 1,522 bytes per frame, offsets up to 0.96 s.
+  const auto trace =
+      TraceReplayTraffic::LoadCsv(std::string(CTMS_TESTS_DATA_DIR) + "/campus_trace.csv");
+  ASSERT_TRUE(trace.has_value());
+  EXPECT_FALSE(trace->empty());
+}
+
 TEST(TraceReplayTest, ReplaysFramesAtScheduledOffsets) {
   Simulation sim(1);
   TokenRing ring(&sim);
