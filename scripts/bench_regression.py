@@ -2,7 +2,8 @@
 """Bench trajectory regression gate.
 
 Compares a freshly produced BENCH_*.json against the committed copy and exits nonzero
-when any metric has degraded beyond its tolerance. The committed files are the perf
+when any metric has degraded beyond its tolerance, or when an exact-match metric (such as
+simbench's events per packet in BENCH_e2e.json) has changed at all. The committed files are the perf
 trajectory of the repo: full-mode runs (not `--smoke`), regenerated deliberately as
 bench/trajectory/README.md describes, on whatever machine made them. `scripts/check.sh`
 compares its own smoke runs against them, so fresh-vs-committed crosses run mode and
@@ -34,6 +35,12 @@ import sys
 #   "info"   — never fails (counters that legitimately change with workload shape)
 POLICY = [
     (lambda m: m.endswith("_budget_pct"), ("exact", 0.0, 0.0)),
+    # simbench's deterministic counts (BENCH_e2e.json, one "<workload>.<metric>" row each,
+    # from seed-1 runs): events per packet repeat exactly for a seed on any host and any
+    # repetition count, so any change must come with a regenerated seed. Allocations per
+    # packet follow the standard library's allocation pattern, so they are only recorded.
+    (lambda m: m.endswith(".events_per_packet"), ("exact", 0.0, 0.0)),
+    (lambda m: m.endswith(".allocs_per_packet"), ("info", 0.0, 0.0)),
     # Workload-shape counters scale with the run length, and the committed seed is a
     # full-mode run while check.sh compares smoke-mode output against it.
     (lambda m: m == "sync_rounds", ("info", 0.0, 0.0)),
@@ -82,7 +89,7 @@ def compare(baseline, fresh, label=""):
             continue
         if direction == "exact":
             if new != base:
-                failures.append(f"{label}{metric}: changed {base:g} -> {new:g} "
+                failures.append(f"{label}{metric}: changed {base!r} -> {new!r} "
                                 f"(exact-match metric; update the baseline deliberately)")
         elif direction == "higher":
             floor = base * (1.0 - tol) - slack
@@ -134,6 +141,19 @@ def self_test():
         ("missing metric fails", {k: v for k, v in base.items()
                                   if k != "arena_speedup_x"}, None),
     ]
+    # simbench counts: events per packet are exact in both directions, allocations are
+    # informational.
+    e2e_base = {"ctms_b.events_per_packet": 37.053608096215896,
+                "ctms_b.allocs_per_packet": 1.9531320835222272}
+    e2e_cases = [
+        ("identical e2e counts pass", e2e_base, dict(e2e_base), 0),
+        ("one more event per run fails", e2e_base,
+         {**e2e_base, "ctms_b.events_per_packet": 37.05361142954927}, 1),
+        ("fewer events fail too (regenerate the seed)", e2e_base,
+         {**e2e_base, "ctms_b.events_per_packet": 34.2}, 1),
+        ("allocation drift passes", e2e_base,
+         {**e2e_base, "ctms_b.allocs_per_packet": 2.5}, 0),
+    ]
     # Negative-baseline cases (a seed can record a noise-negative overhead): the ceiling
     # must clamp to the zero line, not chase the baseline below it.
     neg_base = {"overhead_pct": -12.0}
@@ -145,7 +165,7 @@ def self_test():
     ]
     ok = True
     for name, baseline, fresh, want_fail in (
-            [(n, base, f, w) for n, f, w in cases] + neg_cases):
+            [(n, base, f, w) for n, f, w in cases] + neg_cases + e2e_cases):
         failures = compare(baseline, fresh)
         # want_fail None marks the missing-metric case, which must also fail.
         expected = True if want_fail is None else want_fail == 1
