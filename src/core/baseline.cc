@@ -102,18 +102,12 @@ BaselineExperiment::BaselineExperiment(BaselineConfig config)
 }
 
 BaselineReport BaselineExperiment::Run() {
-  tx_->StartHardclock();
-  rx_->StartHardclock();
-  BackgroundEnvironment& env = topo_.environment();
   if (config_.timesharing) {
+    BackgroundEnvironment& env = topo_.environment();
     env.AddCompetingProcess(&tx_->kernel(), "timeshare-tx");
     env.AddCompetingProcess(&rx_->kernel(), "timeshare-rx");
-    env.StartCompeting();
   }
-  tx_->StartActivity();
-  rx_->StartActivity();
-  env.StartMacTraffic();
-  env.StartGhosts();
+  topo_.StartAll();
   stream_->vca_source().Start(VcaSourceDriver::OutputMode::kDeliverToProcess, rx_->address(),
                               [this](const Packet& packet) { tx_relay_->Deliver(packet); });
   topo_.sim().RunFor(config_.duration);

@@ -248,16 +248,7 @@ void CtmsExperiment::Start() {
     return;
   }
   started_ = true;
-  tx_->StartHardclock();
-  rx_->StartHardclock();
-  tx_->StartActivity();
-  rx_->StartActivity();
-  BackgroundEnvironment& env = topo_.environment();
-  env.StartMacTraffic();
-  env.StartGhosts();
-  env.StartCompeting();
-  env.StartAfsClients();
-  env.StartInsertions();
+  topo_.StartAll();
   stream_->Start();
 }
 

@@ -70,14 +70,7 @@ MediaMixExperiment::MediaMixExperiment(MediaMixConfig config)
 }
 
 MediaMixReport MediaMixExperiment::Run() {
-  for (Stream& stream : streams_) {
-    stream.tx->StartHardclock();
-    stream.rx->StartHardclock();
-    stream.tx->StartActivity();
-    stream.rx->StartActivity();
-  }
-  topo_.environment().StartMacTraffic();
-  topo_.environment().StartGhosts();
+  topo_.StartAll();
   // Stagger stream starts across one base period so sources do not fire in lockstep.
   SimDuration stagger = 0;
   const SimDuration step = Milliseconds(12) / (static_cast<int>(streams_.size()) + 1);

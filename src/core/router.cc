@@ -83,18 +83,7 @@ RouterExperiment::RouterExperiment(RouterConfig config)
 }
 
 RouterReport RouterExperiment::Run() {
-  std::vector<Station*> stations;
-  stations.push_back(src_);
-  stations.insert(stations.end(), routers_.begin(), routers_.end());
-  stations.push_back(dst_);
-  for (Station* station : stations) {
-    station->StartHardclock();
-  }
-  for (Station* station : stations) {
-    station->StartActivity();
-  }
-  topo_.environment().StartMacTraffic();
-  topo_.environment().StartGhosts();
+  topo_.StartAll();
   stream_->Start(routers_.front()->address(0));
   topo_.sim().RunFor(config_.duration);
 

@@ -55,13 +55,9 @@ ServerExperiment::ServerExperiment(ServerConfig config)
 }
 
 ServerReport ServerExperiment::Run() {
-  server_->StartHardclock();
-  server_->StartActivity();
-  topo_.environment().StartMacTraffic();
+  topo_.StartAll();
   SimDuration stagger = 0;
   for (Client& client : clients_) {
-    client.station->StartHardclock();
-    client.station->StartActivity();
     StreamEndpoints* endpoints = client.endpoints.get();
     topo_.sim().After(stagger, [endpoints]() { endpoints->Start(); });
     stagger += config_.packet_period / (config_.clients + 1);

@@ -216,9 +216,7 @@ void FabricExperiment::DeliverOutboxes() {
 
 FabricReport FabricExperiment::Run() {
   for (Shard& shard : shards_) {
-    shard.topo->StartStations();
-    shard.topo->environment().StartMacTraffic();
-    shard.topo->environment().StartGhosts();
+    shard.topo->StartAll();
   }
   const int n = static_cast<int>(shards_.size());
   for (int f = 0; f < n; ++f) {

@@ -99,17 +99,13 @@ class Station {
     return *activity_;
   }
 
-  void StartHardclock() { machine_.StartHardclock(); }
-  void StartActivity() {
+  // Starts the hardclock, then the background activity if one is attached. In a topology,
+  // RingTopology::StartAll calls this for every station.
+  void Start() {
+    machine_.StartHardclock();
     if (activity_ != nullptr) {
       activity_->Start();
     }
-  }
-  // Canonical bring-up for new topologies. The paper experiments sequence hardclocks and
-  // activities themselves to preserve their historical event-insertion order.
-  void Start() {
-    StartHardclock();
-    StartActivity();
   }
 
   void CancelJobs() { machine_.cpu().CancelAll(); }

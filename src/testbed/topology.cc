@@ -94,42 +94,17 @@ AfsClientDaemon& BackgroundEnvironment::AddAfsClient(UnixKernel* kernel, UdpLaye
   return *afs_clients_.back();
 }
 
-void BackgroundEnvironment::StartMacTraffic() {
-  for (auto& mac : macs_) {
-    mac->Start();
-  }
-}
-
-void BackgroundEnvironment::StartGhosts() {
-  for (auto& ghost : ghosts_) {
-    ghost->Start();
-  }
-}
-
-void BackgroundEnvironment::StartCompeting() {
-  for (auto& process : competing_) {
-    process->Start();
-  }
-}
-
-void BackgroundEnvironment::StartAfsClients() {
-  for (auto& daemon : afs_clients_) {
-    daemon->Start();
-  }
-}
-
-void BackgroundEnvironment::StartInsertions() {
-  for (auto& schedule : insertions_) {
-    schedule->Start();
-  }
-}
-
 void BackgroundEnvironment::StartAll() {
-  StartMacTraffic();
-  StartGhosts();
-  StartCompeting();
-  StartAfsClients();
-  StartInsertions();
+  const auto start = [](auto& group) {
+    for (auto& member : group) {
+      member->Start();
+    }
+  };
+  start(macs_);
+  start(ghosts_);
+  start(competing_);
+  start(afs_clients_);
+  start(insertions_);
 }
 
 RingTopology::RingTopology(uint64_t seed) : sim_(seed), environment_(&sim_) {
@@ -203,14 +178,10 @@ FaultInjector* RingTopology::ApplyFaultPlan(const FaultPlan& plan) {
   return fault_injector_.get();
 }
 
-void RingTopology::StartStations() {
+void RingTopology::StartAll() {
   for (auto& station : stations_) {
     station->Start();
   }
-}
-
-void RingTopology::StartAll() {
-  StartStations();
   environment_.StartAll();
 }
 
