@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "src/core/experiment_registry.h"
+#include "src/ring/frame.h"
 #include "src/sim/time.h"
 
 namespace ctms {
@@ -170,6 +171,11 @@ std::string UnreadFlagError(const ScenarioConfig& config) {
   return "";
 }
 
+// The experiment a run of `config` builds: its own, or for a campaign its cells'.
+const std::string& BuiltExperiment(const ScenarioConfig& config) {
+  return config.experiment == "campaign" ? config.cell_experiment : config.experiment;
+}
+
 // The error for a flag set beside a --mix that overrides it, or "". Each class sets its
 // streams' packet size and period, and the mix sets the stream count; the router carries
 // one connection, so its mix must make exactly one stream. Runs after UnreadFlagError, so
@@ -184,8 +190,7 @@ std::string MixConflictError(const ScenarioConfig& config,
       return "--" + std::string(name) + " cannot be combined with --mix, which sets the streams";
     }
   }
-  const std::string& experiment =
-      config.experiment == "campaign" ? config.cell_experiment : config.experiment;
+  const std::string& experiment = BuiltExperiment(config);
   const size_t streams = ResolveWorkload(workload).size();
   if (experiment == "router" && streams > 1) {
     return "--mix=" + config.mix + " makes " + std::to_string(streams) +
@@ -254,10 +259,14 @@ struct RangeCheck {
   const char* message;  // null: "--<name> must be between <min> and <max>"
 };
 
+static_assert(kMaxWireBytes == 4550 && kFrameOverheadBytes == 21,
+              "the --packet-bytes message spells the 802.5 frame limit");
+
 const RangeCheck kRangeChecks[] = {
     {"duration", &ScenarioConfig::duration_s, 1, MaxTimeIn(kSecond), nullptr},
-    {"packet-bytes", &ScenarioConfig::packet_bytes, 1, INT64_MAX,
-     "--packet-bytes must be positive"},
+    {"packet-bytes", &ScenarioConfig::packet_bytes, 1, kMaxWireBytes - kFrameOverheadBytes,
+     "--packet-bytes must be between 1 and 4529: an 802.5 frame at 4 Mbit/s carries at most "
+     "4550 bytes on the wire, 21 of them framing"},
     {"period-ms", &ScenarioConfig::period_ms, 1, MaxTimeIn(kMillisecond), nullptr},
     {"clients", &ScenarioConfig::clients, 1, 16, nullptr},
     {"retry-budget", &ScenarioConfig::retry_budget, 0, 1000, nullptr},
@@ -377,7 +386,8 @@ std::string ValidateScenarioConfig(const ScenarioConfig& config) {
   }
   // --recovery is a list flag (faultsweep runs every named family), so it validates here
   // instead of through ChoiceChecks, which only knows single spellings.
-  for (const std::string& token : SplitRecoverySpec(config.recovery)) {
+  const std::vector<std::string> recoveries = SplitRecoverySpec(config.recovery);
+  for (const std::string& token : recoveries) {
     if (!ParseRecoveryMode(token).has_value()) {
       return "unknown --recovery=" + token + " (expected none or resend or fec or hybrid)";
     }
@@ -390,7 +400,14 @@ std::string ValidateScenarioConfig(const ScenarioConfig& config) {
     }
   }
   const std::string unread = UnreadFlagError(config);
-  return !unread.empty() ? unread : MixConflictError(config, workload);
+  if (!unread.empty()) {
+    return unread;
+  }
+  if (recoveries.size() > 1 && BuiltExperiment(config) != "faultsweep") {
+    return "--recovery=" + config.recovery + " lists several families; the " +
+           BuiltExperiment(config) + " experiment runs one, and only faultsweep sweeps a list";
+  }
+  return MixConflictError(config, workload);
 }
 
 std::string LoadScenarioFiles(ScenarioConfig* config) {
@@ -487,8 +504,8 @@ CtmsConfig CtmsConfigFrom(const ScenarioConfig& cli) {
   config.degradation = cli.DegradationValue();
   config.retry_budget = cli.retry_budget;
   config.retry_backoff = Milliseconds(cli.retry_backoff_ms);
-  // Single-mode experiments take the first --recovery entry; the faultsweep converter
-  // below re-reads the full list as its own axis.
+  // ValidateScenarioConfig holds every other experiment to one --recovery family; the
+  // faultsweep converter below re-reads the full list as its own axis.
   config.recovery = cli.RecoveryValues().front();
   config.fec_group = static_cast<int>(cli.fec_group);
   config.nack_delay = Microseconds(cli.nack_delay_us);

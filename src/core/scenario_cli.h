@@ -82,7 +82,7 @@ struct ScenarioConfig {
   // --- recovery families ---------------------------------------------------------------
   // none|resend|fec|hybrid. The faultsweep experiment also accepts a list (separated by
   // ',' or by '+' inside campaign grid axes, where ',' splits grid values) and runs every
-  // named family as its own sweep axis; other experiments use the first entry.
+  // named family as its own sweep axis; ValidateScenarioConfig refuses a list elsewhere.
   std::string recovery = "none";
   int64_t fec_group = 8;        // kFec/kHybrid: data packets per parity packet (1..32)
   int64_t nack_delay_us = 500;  // kResend/kHybrid: gap confirmation before the first NACK
@@ -119,8 +119,8 @@ struct ScenarioConfig {
   MemoryKind MemoryKindValue() const;
   MeasurementMethod MethodValue() const;
   DegradationMode DegradationValue() const;
-  // The parsed --recovery list (assumes ValidateScenarioConfig passed); single-mode
-  // consumers take RecoveryValues().front().
+  // The parsed --recovery list (assumes ValidateScenarioConfig passed); outside faultsweep
+  // it holds one family.
   std::vector<RecoveryMode> RecoveryValues() const;
 };
 

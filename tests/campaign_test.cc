@@ -131,6 +131,33 @@ TEST(CampaignRunnerTest, PrepareRejectsBadAxesAndNestedCampaigns) {
   EXPECT_NE(MakeRunner(CampaignBase(), "packet-bytes=0:4", {}).Prepare(), "");
 }
 
+// Only faultsweep runs a list of recovery families. Elsewhere a list would run its first
+// family under a label naming all of them, so it is refused, on the command line and in a
+// campaign grid point alike.
+TEST(CampaignRunnerTest, RecoveryListsRunOnlyInFaultSweep) {
+  ScenarioConfig ctms;
+  ctms.recovery = "fec,resend";
+  EXPECT_NE(ValidateScenarioConfig(ctms).find("--recovery=fec,resend"), std::string::npos);
+  ctms.recovery = "hybrid";
+  EXPECT_EQ(ValidateScenarioConfig(ctms), "");
+
+  ScenarioConfig sweep;
+  sweep.experiment = "faultsweep";
+  sweep.recovery = "fec,resend";
+  EXPECT_EQ(ValidateScenarioConfig(sweep), "");
+
+  ScenarioConfig sweep_cells = CampaignBase();
+  sweep_cells.cell_experiment = "faultsweep";
+  sweep_cells.recovery = "none+fec";
+  EXPECT_EQ(ValidateScenarioConfig(sweep_cells), "");
+  EXPECT_EQ(MakeRunner(sweep_cells, "recovery=fec+resend,none", {}).Prepare(), "");
+
+  const std::string error =
+      MakeRunner(CampaignBase(), "recovery=fec+resend,none", {}).Prepare();
+  EXPECT_NE(error.find("grid point recovery=fec+resend"), std::string::npos) << error;
+  EXPECT_NE(error.find("ctms"), std::string::npos) << error;
+}
+
 // --- deterministic merge ------------------------------------------------------------------
 
 std::string MergedJsonFor(const ScenarioConfig& base, const std::string& spec,

@@ -67,7 +67,8 @@ void PrintUsage() {
       "stream and environment:\n"
       "  --duration=SECONDS    simulated run length (default 30)\n"
       "  --seed=N              simulation seed (default 1)\n"
-      "  --packet-bytes=N      payload per device interrupt (default 2000)\n"
+      "  --packet-bytes=N      payload per device interrupt, 1..4529 so a frame fits the\n"
+      "                        802.5 limit of 4550 bytes at 4 Mbit/s (default 2000)\n"
       "  --period-ms=N         device interrupt period (default 12)\n"
       "  --memory=iocm|system  fixed DMA buffer placement\n"
       "  --no-driver-priority  CTMSP shares if_snd with ARP/IP\n"
@@ -84,7 +85,8 @@ void PrintUsage() {
       "  --recovery=MODE       receiver-side loss recovery: none (default), resend (NACK),\n"
       "                        fec (XOR parity groups), or hybrid (FEC first, NACK\n"
       "                        fallback); faultsweep accepts a ','/'+'-separated list and\n"
-      "                        sweeps every named family\n"
+      "                        sweeps every named family, and every other experiment\n"
+      "                        refuses a list\n"
       "  --fec-group=N         fec/hybrid: data packets per parity packet, 1..32 (default 8)\n"
       "  --nack-delay-us=N     resend/hybrid: gap confirmation before the first NACK\n"
       "                        (default 500)\n"
