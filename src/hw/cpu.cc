@@ -102,6 +102,9 @@ SimDuration Cpu::busy_time() const {
 }
 
 void Cpu::SubmitInterrupt(Job job) {
+  if (cancelled_) {
+    return;  // ~Job recycles the record, so the job's captures die now
+  }
   // Model interrupt dispatch (context save, vectoring) as an implicit leading step at the
   // job's own level; jitter reflects microarchitectural variation, not kernel state.
   Record* record = job.record_;
@@ -114,6 +117,9 @@ void Cpu::SubmitInterrupt(Job job) {
 }
 
 void Cpu::SubmitProcess(Job job) {
+  if (cancelled_) {
+    return;
+  }
   Record* record = job.record_;
   job.record_ = nullptr;
   record->next_step = 1;
@@ -150,8 +156,7 @@ void Cpu::CancelAll() {
     pending_ = record->next;
     Recycle(record);
   }
-  // step_in_flight_ stays true so nothing new dispatches.
-  step_in_flight_ = true;
+  cancelled_ = true;
 }
 
 void Cpu::BeginMemoryContention() {

@@ -106,7 +106,8 @@ class Cpu final : private InstantSettler {
   // Owners whose jobs capture resources with shorter lifetimes (an experiment's payload
   // refs are charged to pools in its kernel, which is destroyed before this CPU's machine)
   // call this from their destructors so captured state dies while its dependencies are
-  // still alive.
+  // still alive. A cancelled CPU takes no more work: a later SubmitInterrupt or
+  // SubmitProcess drops its job at once, counting nothing.
   void CancelAll();
 
   // --- DMA interference ---------------------------------------------------------------
@@ -196,6 +197,7 @@ class Cpu final : private InstantSettler {
   Record* free_ = nullptr;          // recycled records
   std::vector<std::unique_ptr<Record>> records_;  // owns every record, grows on demand
   bool step_in_flight_ = false;
+  bool cancelled_ = false;  // by CancelAll: later submissions are dropped at once
 
   // The active step run (see run_active()).
   EventId run_event_ = kInvalidEventId;

@@ -17,6 +17,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -318,19 +319,39 @@ TEST(CpuRunTest, ContentionChangeAtABoundaryStretchesFromThereEitherWay) {
 }
 
 TEST(CpuRunTest, CancelAllMidRunAccountsOnlyThePassedSteps) {
+  // A cancelled CPU also takes no more work: an interrupt submitted after the cancel is
+  // dropped at submission, so it counts nowhere and its captures die at once.
   for (const SimTime at : {SimTime{250}, SimTime{300}}) {
     SCOPED_TRACE(at);
-    ExpectSameObservations(1, [at](auto& h) {
-      FiveStepJob(h);
-      h.sim().At(at, [&h]() {
-        h.Note("before cancel");
-        h.cpu().CancelAll();
-        h.Note("after cancel");
-        SubmitIrq(h, "never runs");
-      });
-      h.sim().RunAll();
-      h.NoteReturn();
-    });
+    Observed runs;
+    ExpectSameObservations(
+        1,
+        [at](auto& h) {
+          FiveStepJob(h);
+          h.sim().At(at, [&h]() {
+            h.Note("before cancel");
+            h.cpu().CancelAll();
+            h.Note("after cancel");
+            auto capture = std::make_shared<int>(0);
+            const std::weak_ptr<int> watch = capture;
+            h.cpu().SubmitInterrupt("never runs", Spl::kImp, 10,
+                                    [&h, capture]() { h.Note("never runs", /*own=*/true); });
+            capture.reset();
+            h.Note(watch.expired() ? "late job released" : "late job held");
+          });
+          h.sim().RunAll();
+          h.NoteReturn();
+        },
+        &runs);
+    EXPECT_NE(std::find_if(runs.log.begin(), runs.log.end(),
+                           [](const std::string& l) {
+                             return l.find(" late job released ") != std::string::npos;
+                           }),
+              runs.log.end());
+    // Only the five-step process job was ever submitted.
+    EXPECT_NE(runs.log.back().find(" submitted=1 completed=0 "), std::string::npos)
+        << runs.log.back();
+    EXPECT_NE(runs.log.back().find(" irq=0"), std::string::npos) << runs.log.back();
   }
 }
 

@@ -84,6 +84,9 @@ SimDuration StepCpu::Stretched(SimDuration d) const {
 }
 
 void StepCpu::SubmitInterrupt(Job job) {
+  if (cancelled_) {
+    return;  // ~Job recycles the record, so the job's captures die now
+  }
   // Model interrupt dispatch (context save, vectoring) as an implicit leading step at the
   // job's own level; jitter reflects microarchitectural variation, not kernel state.
   Record* record = job.record_;
@@ -96,6 +99,9 @@ void StepCpu::SubmitInterrupt(Job job) {
 }
 
 void StepCpu::SubmitProcess(Job job) {
+  if (cancelled_) {
+    return;
+  }
   Record* record = job.record_;
   job.record_ = nullptr;
   record->next_step = 1;
@@ -122,9 +128,9 @@ void StepCpu::CancelAll() {
     pending_ = record->next;
     Recycle(record);
   }
-  // A step event may still be scheduled on the simulation; step_in_flight_ stays true so
-  // nothing new dispatches, and the event finds no current job if it ever fires.
-  step_in_flight_ = true;
+  // A step event may still be scheduled on the simulation; it finds no current job if it
+  // ever fires.
+  cancelled_ = true;
 }
 
 void StepCpu::BeginMemoryContention() { ++contention_count_; }

@@ -93,7 +93,8 @@ class StepCpu {
   // Owners whose jobs capture resources with shorter lifetimes (an experiment's payload
   // refs are charged to pools in its kernel, which is destroyed before this CPU's machine)
   // call this from their destructors so captured state dies while its dependencies are
-  // still alive.
+  // still alive. A cancelled CPU takes no more work: a later SubmitInterrupt or
+  // SubmitProcess drops its job at once, counting nothing.
   void CancelAll();
 
   // --- DMA interference ---------------------------------------------------------------
@@ -159,6 +160,7 @@ class StepCpu {
   Record* free_ = nullptr;          // recycled records
   std::vector<std::unique_ptr<Record>> records_;  // owns every record, grows on demand
   bool step_in_flight_ = false;
+  bool cancelled_ = false;  // by CancelAll: later submissions are dropped at once
 
   SimDuration dispatch_base_ = Microseconds(40);
   SimDuration dispatch_jitter_ = Microseconds(20);
