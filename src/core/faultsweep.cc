@@ -60,13 +60,6 @@ FaultSweepReport FaultSweepExperiment::Run() {
   const auto run_cell = [&](size_t index) {
     const SweepCell& cell_spec = cells[index];
     CtmsConfig cell = config_.base;
-    // kNone keeps the legacy cell names (and thus stat prefixes) byte-identical.
-    cell.name =
-        "faultsweep-L" + std::to_string(cell_spec.level) + "-" +
-        DegradationModeName(cell_spec.policy) +
-        (cell_spec.recovery == RecoveryMode::kNone
-             ? ""
-             : std::string("-") + RecoveryModeName(cell_spec.recovery));
     cell.faults = PlanForLevel(cell_spec.level);
     cell.degradation = cell_spec.policy;
     cell.recovery = cell_spec.recovery;

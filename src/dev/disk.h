@@ -53,7 +53,6 @@ class MediaDisk {
 
   // Lays out a contiguous file; returns false if the name exists or space is exhausted.
   bool CreateFile(const std::string& name, int64_t bytes);
-  bool HasFile(const std::string& name) const { return files_.count(name) > 0; }
   int64_t FileSize(const std::string& name) const;
 
   // Asynchronously reads [offset, offset+bytes) of `name` into a kernel buffer. Requests

@@ -60,7 +60,6 @@ void MediaServerSource::Pump() {
     }
     const int64_t chunk = std::min(config_.read_chunk_bytes, file_size - file_offset_);
     inflight_bytes_ += chunk;
-    ++disk_reads_;
     disk_reads_counter_->Increment();
     disk_->Read(config_.file, file_offset_, chunk, [this, chunk](bool ok) {
       inflight_bytes_ -= chunk;

@@ -57,7 +57,6 @@ class MediaServerSource {
   uint64_t packets_sent() const { return packets_sent_; }
   // Send-timer ticks that found no staged data — a glitch the client will hear.
   uint64_t starvations() const { return starvations_; }
-  uint64_t disk_reads() const { return disk_reads_; }
   int64_t staged_bytes() const { return staged_bytes_; }
   uint64_t mbuf_drops() const { return mbuf_drops_; }
   uint64_t queue_drops() const { return queue_drops_; }
@@ -82,7 +81,6 @@ class MediaServerSource {
 
   uint64_t packets_sent_ = 0;
   uint64_t starvations_ = 0;
-  uint64_t disk_reads_ = 0;
   uint64_t mbuf_drops_ = 0;
   uint64_t queue_drops_ = 0;
 

@@ -175,7 +175,6 @@ void TokenRingDriver::TransmitPacket(Packet packet, bool is_ctmsp) {
             ctmsp_tx_notify_(packet.seq, packet.bytes);
           }
         } else {
-          ++stock_tx_;
           stock_tx_counter_->Increment();
         }
         SpanTracer& tracer = kernel_->sim()->telemetry().tracer;
@@ -223,7 +222,6 @@ void TokenRingDriver::OnRxDmaComplete(const Frame& frame) {
     // packet is known to be CTMSP.
     job.AddStep(config_.classify_cost + probes_->inline_cost(),
                 [this, packet]() {
-                  ++rx_ctmsp_;
                   rx_ctmsp_counter_->Increment();
                   kernel_->sim()->telemetry().journeys.Stamp(
                       packet.journey, JourneyStage::kRxClassify, kernel_->sim()->Now());
@@ -271,14 +269,12 @@ void TokenRingDriver::OnRxDmaComplete(const Frame& frame) {
                 [this, packet]() {
                   adapter_->ReleaseRxBuffer();
                   if (packet.protocol == ProtocolId::kArp) {
-                    ++rx_arp_;
                     rx_arp_counter_->Increment();
                     if (arp_input_) {
                       arp_input_(packet);
                     }
                     return;
                   }
-                  ++rx_ip_;
                   rx_ip_counter_->Increment();
                   if (ipintr_q_.Enqueue(packet)) {
                     DrainIpintr();

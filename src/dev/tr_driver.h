@@ -134,10 +134,6 @@ class TokenRingDriver : public NetIf {
 
   // --- statistics --------------------------------------------------------------------------
   uint64_t ctmsp_tx() const { return ctmsp_tx_; }
-  uint64_t stock_tx() const { return stock_tx_; }
-  uint64_t rx_ctmsp() const { return rx_ctmsp_; }
-  uint64_t rx_ip() const { return rx_ip_; }
-  uint64_t rx_arp() const { return rx_arp_; }
   uint64_t mac_interrupts() const { return mac_interrupts_; }
   uint64_t retransmit_requests() const { return retransmit_requests_; }
   const IfQueue& ctmsp_queue() const { return ctmsp_q_; }
@@ -184,10 +180,6 @@ class TokenRingDriver : public NetIf {
   RingAddress last_ctmsp_dst_ = 0;
   uint64_t retransmit_requests_ = 0;
   uint64_t ctmsp_tx_ = 0;
-  uint64_t stock_tx_ = 0;
-  uint64_t rx_ctmsp_ = 0;
-  uint64_t rx_ip_ = 0;
-  uint64_t rx_arp_ = 0;
   uint64_t mac_interrupts_ = 0;
 
   // Cached telemetry slots (driver.tr.<machine>.*) and the driver's tracer track.

@@ -25,16 +25,6 @@ enum class MemoryKind {
   kIoChannelMemory,  // on the IO Channel Bus; adapter DMA here leaves the CPU alone
 };
 
-constexpr const char* MemoryKindName(MemoryKind kind) {
-  switch (kind) {
-    case MemoryKind::kSystemMemory:
-      return "system";
-    case MemoryKind::kIoChannelMemory:
-      return "io-channel";
-  }
-  return "?";
-}
-
 // Copy-cost model plus copy accounting. One instance per machine; every CPU copy in the
 // kernel substrate is charged through here so the section-2 copy-count analysis can be
 // measured rather than merely asserted.

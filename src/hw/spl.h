@@ -26,28 +26,6 @@ constexpr bool SplBlocks(Spl running, Spl incoming) {
   return SplValue(running) >= SplValue(incoming);
 }
 
-constexpr const char* SplName(Spl level) {
-  switch (level) {
-    case Spl::kNone:
-      return "none";
-    case Spl::kSoftClock:
-      return "softclock";
-    case Spl::kNet:
-      return "net";
-    case Spl::kBio:
-      return "bio";
-    case Spl::kImp:
-      return "imp";
-    case Spl::kTty:
-      return "tty";
-    case Spl::kClock:
-      return "clock";
-    case Spl::kHigh:
-      return "high";
-  }
-  return "?";
-}
-
 }  // namespace ctms
 
 #endif  // SRC_HW_SPL_H_

@@ -24,7 +24,6 @@ class UdpLayer {
 
   using Handler = std::function<void(const Packet&)>;
   void Bind(uint16_t port, Handler handler);
-  void Unbind(uint16_t port) { sockets_.erase(port); }
 
   // Sends a datagram; `packet.port` selects the destination port.
   void Output(Packet packet);

@@ -151,7 +151,6 @@ void TokenRing::FinishTransmission(TxStatus status) {
                                      sim_->Now());
     DeliverFrame(done.frame);
   } else if (status == TxStatus::kCorrupted) {
-    ++frames_corrupted_;
     frames_corrupted_counter_->Increment();
     sim_->telemetry().journeys.Abort(done.frame.journey, JourneyAnomaly::kDrop, sim_->Now());
   } else {

@@ -125,7 +125,6 @@ class TokenRing {
   uint64_t frames_carried() const { return frames_carried_; }
   int64_t bytes_carried() const { return bytes_carried_; }
   uint64_t frames_lost_to_purge() const { return frames_lost_to_purge_; }
-  uint64_t frames_corrupted() const { return frames_corrupted_; }
   uint64_t purge_count() const { return purge_count_; }
   uint64_t insertion_count() const { return insertion_count_; }
   // 802.5 priority machinery at work: transmit requests that were queued ahead of at least
@@ -174,7 +173,6 @@ class TokenRing {
   uint64_t frames_carried_ = 0;
   int64_t bytes_carried_ = 0;
   uint64_t frames_lost_to_purge_ = 0;
-  uint64_t frames_corrupted_ = 0;
   uint64_t purge_count_ = 0;
   uint64_t insertion_count_ = 0;
   uint64_t priority_preemptions_ = 0;

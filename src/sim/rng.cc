@@ -57,8 +57,6 @@ int64_t Rng::UniformInt(int64_t lo, int64_t hi) {
   return lo + static_cast<int64_t>(value % span);
 }
 
-double Rng::UniformDouble(double lo, double hi) { return lo + (hi - lo) * NextDouble(); }
-
 bool Rng::Chance(double p) {
   if (p <= 0.0) {
     return false;

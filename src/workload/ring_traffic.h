@@ -100,8 +100,6 @@ class InsertionSchedule {
 
   void Start();
   void Stop();
-  // Forces an insertion now (for tests and demos).
-  void InsertNow() { ring_->TriggerStationInsertion(); }
   uint64_t insertions() const { return insertions_; }
 
  private:
