@@ -1,9 +1,11 @@
 // Scaling microbenchmark of the sharded fabric's conservative-lookahead rounds.
 //
-// Events/sec for a ring-of-rings fabric as it grows (1, 2, 4, 8 shards): does per-event
-// cost stay flat as rings are added, or do the sync rounds eat it? The 8-shard run's
-// sync-round count is also emitted — rounds ~= duration / link latency, the knob that
-// trades lookahead for the number of rounds.
+// Simulation speed for a ring-of-rings fabric as it grows (1, 2, 4, 8 shards): simulated
+// seconds times shards per wall second of Run(), so one shard-second costs the same at
+// every size when the sync rounds are cheap. Speed, not events per second: a CPU step run
+// is one event however many steps it covers, so a faster fabric can execute fewer events
+// per second. The 8-shard run's sync-round count is also emitted — rounds ~= duration /
+// link latency, the knob that trades lookahead for the number of rounds.
 //
 // Emits the human table plus one JSON line per headline number; --json=PATH additionally
 // writes the JSON lines to PATH (CI saves it as BENCH_fabric.json). --smoke shortens the
@@ -22,7 +24,7 @@ namespace ctms {
 namespace {
 
 struct Sample {
-  double events_per_sec;
+  double sim_s_per_wall_s;  // shard-seconds simulated per wall second
   uint64_t events;
   uint64_t rounds;
 };
@@ -41,7 +43,7 @@ Sample RunOnce(int64_t rings, SimDuration duration) {
   if (!report.Healthy()) {
     std::fputs("bench fabric run was not healthy\n", stderr);
   }
-  return Sample{static_cast<double>(report.events_executed) / seconds,
+  return Sample{ToSecondsF(duration) * static_cast<double>(rings) / seconds,
                 report.events_executed, report.sync_rounds};
 }
 
@@ -65,19 +67,19 @@ int main(int argc, char** argv) {
   const SimDuration duration = smoke ? Seconds(2) : Seconds(20);
 
   std::string json;
-  PrintHeader("micro_fabric — ring-of-rings, events/sec vs shard count");
-  std::printf("  %-8s %16s %12s %10s\n", "shards", "events/sec", "events", "rounds");
+  PrintHeader("micro_fabric — ring-of-rings, simulated shard-seconds per wall second");
+  std::printf("  %-8s %16s %12s %10s\n", "shards", "sim s/wall s", "events", "rounds");
   uint64_t rounds = 0;  // of the last, 8-shard run
   for (const int64_t rings : {int64_t{1}, int64_t{2}, int64_t{4}, int64_t{8}}) {
     const Sample sample = RunOnce(rings, duration);
-    std::printf("  %-8lld %16.0f %12llu %10llu\n", static_cast<long long>(rings),
-                sample.events_per_sec, static_cast<unsigned long long>(sample.events),
+    std::printf("  %-8lld %16.1f %12llu %10llu\n", static_cast<long long>(rings),
+                sample.sim_s_per_wall_s, static_cast<unsigned long long>(sample.events),
                 static_cast<unsigned long long>(sample.rounds));
     char line[128];
     std::snprintf(line, sizeof(line),
-                  "{\"bench\":\"fabric\",\"metric\":\"shards%lld_events_per_sec\","
-                  "\"value\":%.0f}\n",
-                  static_cast<long long>(rings), sample.events_per_sec);
+                  "{\"bench\":\"fabric\",\"metric\":\"shards%lld_sim_s_per_wall_s\","
+                  "\"value\":%.1f}\n",
+                  static_cast<long long>(rings), sample.sim_s_per_wall_s);
     json += line;
     rounds = sample.rounds;
   }

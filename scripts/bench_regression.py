@@ -49,6 +49,9 @@ POLICY = [
     (lambda m: m.endswith("overhead_pct"), ("lower", 0.0, 10.0)),
     (lambda m: "speedup" in m, ("higher", 0.40, 0.0)),
     (lambda m: m.endswith("_per_sec"), ("higher", 0.40, 0.0)),
+    # Simulation speed (micro_fabric: simulated shard-seconds per wall second) is a
+    # throughput too, with the same band.
+    (lambda m: m.endswith("_sim_s_per_wall_s"), ("higher", 0.40, 0.0)),
     # Time-per-op metrics: generous relative band plus a small absolute slack so
     # single-digit-ns floors (e.g. bare_ns_per_packet) aren't judged relatively.
     (lambda m: "ns_per" in m, ("lower", 0.60, 5.0)),
@@ -154,6 +157,14 @@ def self_test():
         ("allocation drift passes", e2e_base,
          {**e2e_base, "ctms_b.allocs_per_packet": 2.5}, 0),
     ]
+    # Simulation speed is higher-is-better with the throughput band.
+    rate_base = {"shards4_sim_s_per_wall_s": 2400.0}
+    rate_cases = [
+        ("simulation speed in band passes", rate_base,
+         {"shards4_sim_s_per_wall_s": 1500.0}, 0),
+        ("simulation speed collapse fails", rate_base,
+         {"shards4_sim_s_per_wall_s": 1400.0}, 1),
+    ]
     # Negative-baseline cases (a seed can record a noise-negative overhead): the ceiling
     # must clamp to the zero line, not chase the baseline below it.
     neg_base = {"overhead_pct": -12.0}
@@ -165,7 +176,7 @@ def self_test():
     ]
     ok = True
     for name, baseline, fresh, want_fail in (
-            [(n, base, f, w) for n, f, w in cases] + neg_cases + e2e_cases):
+            [(n, base, f, w) for n, f, w in cases] + neg_cases + e2e_cases + rate_cases):
         failures = compare(baseline, fresh)
         # want_fail None marks the missing-metric case, which must also fail.
         expected = True if want_fail is None else want_fail == 1

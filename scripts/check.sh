@@ -22,7 +22,7 @@ echo "=== bench smoke: journey recorder overhead gate ==="
 ./build/bench/micro_packet_path --smoke --json=BENCH_packet_path.json
 echo "wrote BENCH_packet_path.json"
 
-echo "=== bench smoke: fabric events/sec vs shard count ==="
+echo "=== bench smoke: fabric simulated shard-seconds per wall second vs shard count ==="
 ./build/bench/micro_fabric --smoke --json=BENCH_fabric.json
 echo "wrote BENCH_fabric.json"
 
