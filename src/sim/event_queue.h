@@ -119,6 +119,9 @@ class EventQueue {
 
   // The place in the run order of the event RunNext ran last (or is running now).
   const EventOrder& running() const { return running_; }
+  // Moves that place on to `order`, for work done in place of the event that would have
+  // run next (Simulation::ClaimNext).
+  void set_running(const EventOrder& order) { running_ = order; }
 
   // Introspection for tests, telemetry, and the bench.
   size_t slab_slots() const { return slots_used_; }       // high-water distinct slots

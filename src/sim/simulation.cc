@@ -1,5 +1,6 @@
 #include "src/sim/simulation.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstdint>
 #include <memory>
@@ -40,13 +41,27 @@ void Simulation::Delist(InstantSettler* settler) {
   settler->next_settler_ = nullptr;
 }
 
+bool Simulation::ClaimNext(const EventOrder& order) {
+  assert(order.when == clock_.Now());
+  if (stop_requested_ || (!queue_.empty() && queue_.NextTime() <= order.when)) {
+    return false;
+  }
+  queue_.set_running(order);
+  return true;
+}
+
 void Simulation::SettleEnlisted(const EventOrder& passed) {
   const EventOrder position = stop_requested_ ? queue_.running() : passed;
-  // Settling never enlists or delists, so the list is stable while it is walked.
-  for (InstantSettler* settler = settlers_; settler != nullptr;
-       settler = settler->next_settler_) {
-    settler->SettleBefore(position);
+  SimTime latest = clock_.Now();
+  // A settler may delist itself as it settles (a Cpu whose idle tail ends), but never
+  // another, so the next one is read before each call.
+  InstantSettler* next = settlers_;
+  while (next != nullptr) {
+    InstantSettler* settler = next;
+    next = settler->next_settler_;
+    latest = std::max(latest, settler->SettleBefore(position));
   }
+  clock_.AdvanceTo(latest);
 }
 
 bool Simulation::Cancel(EventId id) {

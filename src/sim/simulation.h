@@ -21,14 +21,16 @@
 
 namespace ctms {
 
-// A component whose one pending event stands for several model instants (the Cpu's step
-// runs; ARCHITECTURE.md, "The CPU model") enlists while that event is pending. Whenever a
-// Run* call returns, every enlisted component accounts for the instants the call has
-// passed, so whatever is read between calls sees them.
+// A component that stands for several model instants with one pending event, or with none
+// (the Cpu's step runs and idle tails; ARCHITECTURE.md, "The CPU model"), enlists while it
+// does. Whenever a Run* call returns, every enlisted component accounts for the instants
+// the call has passed, so whatever is read between calls sees them; a component with
+// nothing left to stand for may delist itself while it settles.
 class InstantSettler {
  public:
-  // Accounts for every stood-for instant that comes before `position` in the run order.
-  virtual void SettleBefore(const EventOrder& position) = 0;
+  // Accounts for every stood-for instant that comes before `position` in the run order, and
+  // returns the last instant it has accounted for (no later than `position`).
+  virtual SimTime SettleBefore(const EventOrder& position) = 0;
 
  protected:
   virtual ~InstantSettler() = default;
@@ -101,6 +103,13 @@ class Simulation {
   // one that ran).
   const EventOrder& running_event() const { return queue_.running(); }
 
+  // Lets the running event do, in place, the work of an event at `order` (at Now(), with
+  // `order.seq` from ReserveSeq()) when that event would be the next this Run* call runs:
+  // no queued event is due at or before Now() and no Stop() is pending. On true,
+  // running_event() becomes `order`; the work counts as no event. On false, the caller
+  // schedules the event at `order` instead.
+  bool ClaimNext(const EventOrder& order);
+
   // Adds `settler` to, or removes it from, the components settled at every Run* return.
   void Enlist(InstantSettler* settler);
   void Delist(InstantSettler* settler);
@@ -120,7 +129,9 @@ class Simulation {
   // Returns the number of events run.
   uint64_t RunUntilBefore(SimTime horizon);
 
-  // Runs events until the queue is empty. Returns the number of events run.
+  // Runs events until the queue is empty, and leaves the clock at the last instant an
+  // enlisted component settled if that comes later than the last event. Returns the number
+  // of events run.
   uint64_t RunAll();
 
   // Runs for `span` of simulated time from the current instant.
@@ -136,7 +147,8 @@ class Simulation {
 
  private:
   // Settles the enlisted components as a Run* call returns: up to the stopping event after
-  // Stop(), else up to `passed`.
+  // Stop(), else up to `passed`. The clock moves on to the last instant settled, where the
+  // events that stood for it would have left it.
   void SettleEnlisted(const EventOrder& passed);
 
   Telemetry telemetry_;

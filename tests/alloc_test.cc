@@ -104,6 +104,29 @@ TEST(AllocTest, WarmInterruptJobsWithCopyAndDmaAllocateNothing) {
   EXPECT_EQ(allocations, 0u) << "1,000 warm interrupt jobs should reuse recycled records";
 }
 
+TEST(AllocTest, HardclockTicksOnAnIdleCpuReuseOneRecord) {
+  // Each tick is an idle tail: one action-free step, no on_done, nothing else on the CPU, so
+  // no event stands for its end. The next tick's NewJob runs after that end and must finish
+  // the tail before it takes a record; otherwise the tick takes a second one. A first
+  // machine ticks for 10 s so the event slab and every timer-wheel bucket are warm, then a
+  // second machine's CPU takes over the ticking and must allocate nothing after its first
+  // tick.
+  Simulation sim(1);
+  Machine warm(&sim, "warm");
+  Machine ticking(&sim, "ticking");
+  warm.StartHardclock();
+  sim.RunUntil(Seconds(10));
+  warm.StopHardclock();
+  ticking.StartHardclock();
+  sim.RunUntil(Seconds(10) + Milliseconds(10));
+  ASSERT_EQ(ticking.cpu().jobs_completed(), 1u);
+  const uint64_t before = g_allocations;
+  sim.RunUntil(Seconds(20));
+  const uint64_t allocations = g_allocations - before;
+  EXPECT_EQ(ticking.cpu().jobs_completed(), 1000u);
+  EXPECT_EQ(allocations, 0u) << "hardclock ticks on an idle CPU should reuse one record";
+}
+
 TEST(AllocTest, ScenarioAAllocatesUnderTwoPerDeliveredPacket) {
   CtmsExperiment experiment(TestCaseA());
   Simulation& sim = experiment.sim();

@@ -1,10 +1,12 @@
 // Step runs against the per-step CPU model.
 //
-// The shipped Cpu (src/hw/cpu.h) folds each run of action-free steps into one event. The
+// The shipped Cpu (src/hw/cpu.h) folds each run of action-free steps into one event, spends
+// none on an idle tail (a run that ends its job with nothing to do after it), and runs a
+// zero-length step inside the event before it when its own would be the next one. The
 // per-step model it replaced survives as tests/step_cpu.h. Given the same work, arrivals,
 // memory contention, cancellations, run limits and stops, the two must produce the same
-// step spans, preemption points, action order and times, busy time and cpu.* counters;
-// only the sim.event* counts may differ.
+// step spans, preemption points, action order and times, busy time, levels, idleness,
+// completed jobs and cpu.* counters; only the sim.event* counts may differ.
 //
 // Every schedule here queues its events at setup, or at instants that are no run's inner
 // boundary: relays at odd 5 ns offsets (every step boundary lies on the 10 ns grid), and
@@ -173,6 +175,16 @@ void SubmitLogged(H& h, const char* name, Spl level, const std::vector<SimDurati
 template <typename H>
 void SubmitIrq(H& h, const char* name) {
   h.cpu().SubmitInterrupt(name, Spl::kImp, 10, [&h, name]() { h.Note(name, /*own=*/true); });
+}
+
+// A job of three action-free 100 ns steps at `level` with no on_done, shaped like a
+// hardclock or spl-section job: submitted at 0 on an idle CPU, it is an idle tail that ends
+// at 300, with inner boundaries at 100 and 200.
+template <typename H>
+void IdleTailJob(H& h, Spl level = Spl::kNone) {
+  auto job = h.cpu().NewJob("tail", level);
+  job.AddStep(100).AddStep(100).AddStep(100);
+  h.cpu().SubmitProcess(std::move(job));
 }
 
 // --- hand-built ties ------------------------------------------------------------------------
@@ -393,13 +405,233 @@ TEST(CpuRunTest, StopSettlesAtTheStoppingEvent) {
   });
 }
 
-TEST(CpuRunTest, ZeroLengthStepsEndRuns) {
+TEST(CpuRunTest, ZeroLengthStepsAfterARunRunInItsEvent) {
+  // The job's first zero-length step is dispatched by its submission, so it gets an event.
+  // The ones after the interrupt's run (at 150) and after the run of steps 4 and 5 (at 350)
+  // run inside those runs' events: events at 0, 100 (the arrival and step 1's run), 150 and
+  // 350, against ten in the per-step model.
+  Observed runs;
+  ExpectSameObservations(
+      1,
+      [](auto& h) {
+        SubmitLogged(h, "proc", Spl::kNone, {0, 100, 0, 0, 100, 100, 0}, {6});
+        h.sim().At(100, [&h]() { SubmitIrq(h, "irq at 100"); });
+        h.sim().RunAll();
+        h.NoteReturn();
+      },
+      &runs);
+  EXPECT_EQ(runs.events, 5u);
+}
+
+TEST(CpuRunTest, ZeroLengthStepWaitsForAnotherEventAtItsInstant) {
+  // Step 0 acts at 100 and step 1 is zero-length, so its event would run at 100, queued
+  // then. An event already queued for 100 (here relayed at 50, so ordered after step 0's
+  // event) runs before it, and so does one the action itself queues for 100: the step gets
+  // its event. Without either, it runs inside step 0's event.
+  for (const int other : {0, 1, 2}) {
+    SCOPED_TRACE(other);
+    Observed runs;
+    ExpectSameObservations(
+        1,
+        [other](auto& h) {
+          auto job = h.cpu().NewJob("proc", Spl::kNone);
+          job.AddStep(100, [&h, other]() {
+            h.Note("step 0", /*own=*/true);
+            if (other == 2) {
+              h.sim().After(0, [&h]() { h.Note("queued by step 0"); });
+            }
+          });
+          job.AddStep(0, [&h]() { h.Note("step 1", /*own=*/true); });
+          h.cpu().SubmitProcess(std::move(job));
+          if (other == 1) {
+            h.sim().At(50, [&h]() { h.sim().After(50, [&h]() { h.Note("relayed at 50"); }); });
+          }
+          h.sim().RunAll();
+          h.NoteReturn();
+        },
+        &runs);
+    // Step 0's event, the other event (and its relay), and step 1's own if it needs one.
+    const uint64_t events[] = {1, 4, 3};
+    EXPECT_EQ(runs.events, events[static_cast<size_t>(other)]);
+  }
+}
+
+TEST(CpuRunTest, ZeroLengthStepInPlaceFindsThePreviousActionsCapturesGone) {
+  // The per-step model destroyed step 0's action at the end of its event, before step 1's
+  // event ran, so running step 1 in place must not keep step 0's captures alive.
   ExpectSameObservations(1, [](auto& h) {
-    SubmitLogged(h, "proc", Spl::kNone, {0, 100, 0, 0, 100, 100, 0}, {6});
-    h.sim().At(100, [&h]() { SubmitIrq(h, "irq at 100"); });
+    auto capture = std::make_shared<int>(0);
+    const std::weak_ptr<int> watch = capture;
+    auto job = h.cpu().NewJob("proc", Spl::kNone);
+    job.AddStep(100, [&h, capture]() { h.Note("step 0", /*own=*/true); });
+    job.AddStep(0, [&h, watch]() {
+      h.Note(watch.expired() ? "step 1, captures gone" : "step 1, captures held", /*own=*/true);
+    });
+    capture.reset();
+    h.cpu().SubmitProcess(std::move(job));
     h.sim().RunAll();
     h.NoteReturn();
   });
+}
+
+TEST(CpuRunTest, ZeroLengthStepAfterAStopWaitsForTheNextCall) {
+  // An action that calls Stop() ends the Run* call after its event, so the zero-length step
+  // after it runs in the next call, as its own event did.
+  ExpectSameObservations(1, [](auto& h) {
+    auto job = h.cpu().NewJob("proc", Spl::kNone);
+    job.AddStep(100, [&h]() {
+      h.Note("step 0 stops", /*own=*/true);
+      h.sim().Stop();
+    });
+    job.AddStep(0, [&h]() { h.Note("step 1", /*own=*/true); });
+    job.AddStep(0);
+    h.cpu().SubmitProcess(std::move(job));
+    h.sim().RunUntil(1000);
+    h.NoteReturn();
+    h.sim().RunAll();
+    h.NoteReturn();
+  });
+}
+
+// --- idle tails -----------------------------------------------------------------------------
+
+TEST(CpuRunTest, IdleTailIsObservedExactlyAroundItsEnd) {
+  // Observers before the tail's end, at it (queued before and after its event would have
+  // been, at 200) and after it see what the per-step model shows; the tail spends no event.
+  Observed runs;
+  ExpectSameObservations(
+      1,
+      [](auto& h) {
+        IdleTailJob(h);
+        h.sim().At(250, [&h]() { h.Note("before the end"); });
+        h.sim().At(300, [&h]() { h.Note("at the end, queued before it"); });
+        h.sim().At(250, [&h]() {
+          h.sim().After(50, [&h]() { h.Note("at the end, queued after it"); });
+        });
+        h.sim().At(350, [&h]() { h.Note("after the end"); });
+        h.sim().RunAll();
+        h.NoteReturn();
+      },
+      &runs);
+  EXPECT_EQ(runs.events, 5u);  // the observers' own
+}
+
+TEST(CpuRunTest, HardclockStyleTailsBackToBack) {
+  // Each tick builds its job in an event after the previous tick's tail has ended, as the
+  // hardclock does, so NewJob finishes that tail first (the record reuse this buys is
+  // pinned by AllocTest.HardclockTicksOnAnIdleCpuReuseOneRecord).
+  ExpectSameObservations(1, [](auto& h) {
+    for (SimTime at = 0; at < 2000; at += 500) {
+      h.sim().At(at, [&h]() {
+        h.Note("tick");
+        IdleTailJob(h);
+      });
+    }
+    h.sim().RunAll();
+    h.NoteReturn();
+  });
+}
+
+TEST(CpuRunTest, ArrivalDuringAnIdleTailGetsTheBoundaryItNeeds) {
+  // At kNone the interrupt arriving at 150 preempts at the inner boundary 200, and the last
+  // step is an idle tail again after it. At kImp the job blocks it until the end at 300,
+  // whose event the tail then needs to dispatch it.
+  for (const Spl level : {Spl::kNone, Spl::kImp}) {
+    SCOPED_TRACE(SplValue(level));
+    ExpectSameObservations(1, [level](auto& h) {
+      IdleTailJob(h, level);
+      h.sim().At(150, [&h]() {
+        h.Note("arrive");
+        SubmitIrq(h, "irq");
+      });
+      h.sim().At(255, [&h]() { h.Note("between"); });
+      h.sim().At(420, [&h]() { h.Note("late"); });
+      h.sim().RunAll();
+      h.NoteReturn();
+    });
+  }
+}
+
+TEST(CpuRunTest, ContentionBeginningDuringAnIdleTailStretchesTheStepsAfterIt) {
+  // Beginning at 150 cuts the tail at 200, and its last step runs stretched; beginning at
+  // 250, during the last step, changes nothing in it; at 300 it comes before or after the
+  // end by queue order; at 350 the tail has ended.
+  for (const SimTime at : {SimTime{150}, SimTime{250}, SimTime{300}, SimTime{350}}) {
+    for (const bool relayed : {false, true}) {
+      SCOPED_TRACE(std::to_string(at) + (relayed ? " relayed" : ""));
+      ExpectSameObservations(1, [at, relayed](auto& h) {
+        IdleTailJob(h);
+        const auto begin = [&h]() {
+          h.Note("contention begins");
+          h.cpu().BeginMemoryContention();
+        };
+        if (relayed) {
+          h.sim().At(at - 45, [&h, begin]() { h.sim().After(45, begin); });
+        } else {
+          h.sim().At(at, begin);
+        }
+        h.sim().At(600, [&h]() { h.cpu().EndMemoryContention(); });
+        h.sim().RunAll();
+        h.NoteReturn();
+      });
+    }
+  }
+}
+
+TEST(CpuRunTest, CancelAllDuringAnIdleTailKeepsTheBoundaryInFlight) {
+  // A cancel at 150 or 250 leaves an event at the step in flight's boundary, 200 or 300, so
+  // RunAll ends there as in the per-step model; at 350 the tail's job has completed first.
+  for (const SimTime at : {SimTime{150}, SimTime{250}, SimTime{350}}) {
+    SCOPED_TRACE(at);
+    ExpectSameObservations(1, [at](auto& h) {
+      IdleTailJob(h);
+      h.sim().At(at, [&h]() {
+        h.Note("before cancel");
+        h.cpu().CancelAll();
+        h.Note("after cancel");
+      });
+      h.sim().RunAll();
+      h.NoteReturn();
+    });
+  }
+}
+
+TEST(CpuRunTest, RunLimitsAtAnIdleTailsEnd) {
+  // A horizon exactly at the end leaves the tail running; a limit at it finishes it, and a
+  // RunAll with nothing queued leaves the clock at the end.
+  ExpectSameObservations(1, [](auto& h) {
+    IdleTailJob(h);
+    h.sim().RunUntilBefore(300);
+    h.NoteReturn();
+    h.sim().RunUntil(300);
+    h.NoteReturn();
+    IdleTailJob(h);
+    h.sim().RunAll();
+    h.NoteReturn();
+  });
+}
+
+TEST(CpuRunTest, RunReturnFinishesTheEndedIdleTailsOfEveryCpu) {
+  // A Cpu whose tail ends delists itself while the Run* return settles it; the walk over
+  // the enlisted components must still reach the others. Three idle tails and no event.
+  Simulation sim(1);
+  Cpu a(&sim, "a.cpu");
+  Cpu b(&sim, "b.cpu");
+  Cpu c(&sim, "c.cpu");
+  for (Cpu* cpu : {&a, &b, &c}) {
+    auto job = cpu->NewJob("tail", Spl::kNone);
+    job.AddStep(100);
+    cpu->SubmitProcess(std::move(job));
+  }
+  sim.RunUntil(1000);
+  EXPECT_EQ(sim.events_executed(), 0u);
+  for (const char* name : {"a", "b", "c"}) {
+    const std::string prefix = std::string("cpu.") + name + ".";
+    EXPECT_EQ(sim.telemetry().metrics.counters().at(prefix + "jobs_completed").value(), 1u)
+        << name;
+    EXPECT_EQ(sim.telemetry().metrics.counters().at(prefix + "steps_executed").value(), 1u)
+        << name;
+  }
 }
 
 TEST(CpuRunTest, InnerBoundaryInstantQueueingFollowsTheWrittenRule) {
@@ -453,6 +685,7 @@ struct StepSpec {
 struct JobSpec {
   Spl level = Spl::kNone;
   bool interrupt = false;
+  bool on_done = true;
   std::vector<StepSpec> steps;
 };
 
@@ -477,6 +710,9 @@ SimTime GridTime(Rng& rng, SimTime max) { return 10 * rng.UniformInt(0, max / 10
 
 RandomSchedule MakeSchedule(uint64_t seed) {
   Rng rng(seed);
+  // Which jobs drop on_done, so that their ends can be idle tails, comes from a generator
+  // of its own: the choice shifts none of the schedule's other draws.
+  Rng tails(seed + 0x5EED0000);
   RandomSchedule s;
   for (int j = 0; j < kJobSpecs; ++j) {
     JobSpec job;
@@ -495,6 +731,7 @@ RandomSchedule MakeSchedule(uint64_t seed) {
       }
       job.steps.push_back(step);
     }
+    job.on_done = tails.Chance(0.5);
     s.jobs.push_back(job);
   }
   const SimTime span = 3000;
@@ -555,7 +792,9 @@ void SubmitSpec(H& h, const RandomSchedule& s, int index) {
         },
         step.spl);
   }
-  job.set_on_done([&h, name]() { h.Note(std::string(name) + " done", /*own=*/true); });
+  if (spec.on_done) {
+    job.set_on_done([&h, name]() { h.Note(std::string(name) + " done", /*own=*/true); });
+  }
   if (spec.interrupt) {
     h.cpu().SubmitInterrupt(std::move(job));
   } else {

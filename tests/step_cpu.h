@@ -2,9 +2,10 @@
 //
 // This is the Cpu as it stood before step runs (src/hw/cpu.h), kept only as the reference
 // for the differential test in tests/cpu_run_test.cc. The shipped Cpu folds each run of
-// action-free steps into one event; given the same work, arrivals, memory contention and
-// cancellations, the two must produce the same step spans, preemption points, action order
-// and times, busy time and cpu.* counters. Only the sim.event* counts differ.
+// action-free steps into one event, spends none on an idle tail and runs a zero-length step
+// inside the event before it when it can; given the same work, arrivals, memory contention
+// and cancellations, the two must produce the same step spans, preemption points, action
+// order and times, busy time and cpu.* counters. Only the sim.event* counts differ.
 //
 // Work is submitted as a Job: an ordered list of Steps, each with a duration, an spl level,
 // and an action performed when the step's time has elapsed. Steps are atomic (an interrupt
