@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Runs the full quality gate from ARCHITECTURE.md: the tier-1 build + test suite, the
-# ASan/UBSan (and Leak) build of the unit tests, and a TSan build exercising the campaign
-# worker pool. All must be clean before merging.
+# simbench smoke (scripts/simbench_smoke.sh), the ASan/UBSan (and Leak) build of the unit
+# tests, and a TSan build exercising the campaign worker pool. All must be clean before
+# merging. CI runs --tier1-only and the simbench smoke and sanitizers as their own steps.
 #
 # Usage: scripts/check.sh [--tier1-only]
 set -euo pipefail
@@ -18,7 +19,7 @@ echo "=== bench smoke: event core before/after ==="
 echo "wrote BENCH_event_queue.json"
 
 echo "=== bench smoke: journey recorder overhead gate ==="
-# Exits nonzero when --journeys costs more wall-clock than its documented budget.
+# Exits nonzero when --journeys costs more CPU time than its documented budget.
 ./build/bench/micro_packet_path --smoke --json=BENCH_packet_path.json
 echo "wrote BENCH_packet_path.json"
 
@@ -93,9 +94,12 @@ for f in BENCH_event_queue.json BENCH_packet_path.json BENCH_fabric.json \
 done
 
 if [[ "${1:-}" == "--tier1-only" ]]; then
-  echo "=== tier 1 clean (sanitizers skipped) ==="
+  echo "=== tier 1 clean (simbench smoke and sanitizers skipped) ==="
   exit 0
 fi
+
+echo "=== simbench smoke: every workload correct, events per packet exact ==="
+scripts/simbench_smoke.sh
 
 echo "=== sanitizers: ASan + UBSan + LSan ==="
 cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=Debug \
