@@ -49,8 +49,9 @@ POLICY = [
     (lambda m: m.endswith("overhead_pct"), ("lower", 0.0, 10.0)),
     (lambda m: "speedup" in m, ("higher", 0.40, 0.0)),
     (lambda m: m.endswith("_per_sec"), ("higher", 0.40, 0.0)),
-    # Simulation speed (micro_fabric: simulated shard-seconds per wall second) is a
-    # throughput too, with the same band.
+    # Simulation speed (micro_fabric: simulated shard-seconds per wall second; micro_source:
+    # simulated seconds per wall second of each media class) is a throughput too, with the
+    # same band.
     (lambda m: m.endswith("_sim_s_per_wall_s"), ("higher", 0.40, 0.0)),
     # Time-per-op metrics: generous relative band plus a small absolute slack so
     # single-digit-ns floors (e.g. bare_ns_per_packet) aren't judged relatively.
