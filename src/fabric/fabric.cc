@@ -152,23 +152,24 @@ void FabricExperiment::DeliverOutboxes() {
   // handles cross a shard boundary. Consecutive entries bound for the same shard at the
   // same arrival instant (a packet train crossing one bridge) are batched into a single
   // event: same delivery order, one queue insertion per train.
-  struct Delivery {
-    TokenRingDriver* driver;
-    Packet packet;
-  };
-  Simulation* batch_sim = nullptr;
+  // Each batch event hands its vector back to its shard's spares once the packets are
+  // delivered, so a warm fabric allocates no batch storage.
+  Shard* batch_shard = nullptr;
   SimTime batch_arrival = 0;
   std::vector<Delivery> batch;
   const auto flush = [&]() {
     if (batch.empty()) {
       return;
     }
-    batch_sim->At(batch_arrival, [deliveries = std::move(batch)]() {
-      for (const Delivery& d : deliveries) {
-        d.driver->OutputCtmsp(d.packet);
-      }
-    });
-    batch.clear();
+    batch_shard->topo->sim().At(
+        batch_arrival, [batch_shard, deliveries = std::move(batch)]() mutable {
+          for (const Delivery& d : deliveries) {
+            d.driver->OutputCtmsp(d.packet);
+          }
+          deliveries.clear();
+          batch_shard->spare_batches.push_back(std::move(deliveries));
+        });
+    batch = {};
   };
   for (size_t s = 0; s < shards_.size(); ++s) {
     for (OutboxEntry& entry : shards_[s].outbox) {
@@ -201,11 +202,14 @@ void FabricExperiment::DeliverOutboxes() {
             std::move(*entry.journey), entry.arrival);
       }
       TokenRingDriver* driver = &BridgeFor(to, entry.link)->driver(0);
-      Simulation* sim = &target.topo->sim();
-      if (sim != batch_sim || entry.arrival != batch_arrival) {
+      if (&target != batch_shard || entry.arrival != batch_arrival) {
         flush();
-        batch_sim = sim;
+        batch_shard = &target;
         batch_arrival = entry.arrival;
+        if (!target.spare_batches.empty()) {
+          batch = std::move(target.spare_batches.back());
+          target.spare_batches.pop_back();
+        }
       }
       batch.push_back(Delivery{driver, std::move(packet)});
     }

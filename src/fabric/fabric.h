@@ -149,6 +149,12 @@ class FabricExperiment {
     std::optional<JourneyRecord> journey;
   };
 
+  // One packet of a batch event: a train bound for one shard at one arrival instant.
+  struct Delivery {
+    TokenRingDriver* driver;
+    Packet packet;
+  };
+
   struct Shard {
     std::unique_ptr<RingTopology> topo;
     Station* src = nullptr;
@@ -157,6 +163,9 @@ class FabricExperiment {
     std::vector<Station*> bridges;    // parallel to `links`
     std::vector<std::unique_ptr<CtmspTap>> taps;  // parallel to `links`
     std::vector<OutboxEntry> outbox;  // written only during this shard's window
+    // Emptied batch vectors, handed back by this shard's batch events with their capacity
+    // and reused by DeliverOutboxes.
+    std::vector<std::vector<Delivery>> spare_batches;
   };
 
   // Directed-hop row index in hop_forwarded_ / the report: 2*link + (from == link.b).
