@@ -5,7 +5,8 @@
 
 namespace ctms {
 
-MediaDisk::MediaDisk(Machine* machine, Config config) : machine_(machine), config_(config) {}
+MediaDisk::MediaDisk(Machine* machine, Config config)
+    : machine_(machine), config_(config), rng_(machine->sim()->rng().Fork()) {}
 
 bool MediaDisk::CreateFile(const std::string& name, int64_t bytes) {
   if (bytes <= 0 || files_.count(name) > 0 ||
@@ -71,7 +72,7 @@ void MediaDisk::StartNext() {
   if (!sequential) {
     service += SeekTime(head_position_, request.start_byte);
     // Rotational latency: where the sector happens to be under the head.
-    service += machine_->sim()->rng().UniformDuration(0, config_.rotation);
+    service += rng_.UniformDuration(0, config_.rotation);
   }
   service += request.bytes * kSecond / config_.transfer_rate_bytes_per_sec;
 

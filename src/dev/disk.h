@@ -23,6 +23,7 @@
 #include <string>
 
 #include "src/hw/machine.h"
+#include "src/sim/rng.h"
 #include "src/sim/time.h"
 
 namespace ctms {
@@ -82,6 +83,7 @@ class MediaDisk {
 
   Machine* machine_;
   Config config_;
+  Rng rng_;  // rotational latency, forked at construction
   std::map<std::string, std::pair<int64_t, int64_t>> files_;  // name -> (start, bytes)
   int64_t next_free_byte_ = 0;
 

@@ -12,7 +12,8 @@ VcaSourceDriver::VcaSourceDriver(UnixKernel* kernel, TokenRingDriver* tr_driver,
       tr_driver_(tr_driver),
       probes_(probes),
       connection_(connection),
-      config_(config) {
+      config_(config),
+      rng_(kernel->sim()->rng().Fork()) {
   MetricsRegistry& metrics = kernel_->sim()->telemetry().metrics;
   const std::string prefix = "driver.vca." + kernel_->machine()->name() + ".";
   interrupts_counter_ = metrics.GetCounter(prefix + "interrupts");
@@ -53,8 +54,8 @@ void VcaSourceDriver::Start(OutputMode mode, RingAddress dst,
       ++n;
       SimTime target = t0 + n * driver->config_.period;
       if (driver->config_.irq_jitter_sigma > 0) {
-        target += sim->rng().NormalDuration(0, driver->config_.irq_jitter_sigma,
-                                            -4 * driver->config_.irq_jitter_sigma);
+        target += driver->rng_.NormalDuration(0, driver->config_.irq_jitter_sigma,
+                                              -4 * driver->config_.irq_jitter_sigma);
       }
       if (target < sim->Now()) {
         target = sim->Now();
@@ -149,7 +150,7 @@ void VcaSourceDriver::OnIrq() {
       // Only classed VBR sources draw here, so legacy runs consume no extra RNG values.
       const double sigma = config_.vbr_burst_sigma;
       const double factor =
-          std::exp(kernel_->sim()->rng().Normal(0.0, sigma) - sigma * sigma / 2.0);
+          std::exp(rng_.Normal(0.0, sigma) - sigma * sigma / 2.0);
       wire_bytes = std::max<int64_t>(
           1, static_cast<int64_t>(static_cast<double>(wire_bytes) * factor));
     }

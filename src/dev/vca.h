@@ -30,6 +30,7 @@
 #include "src/measure/probe.h"
 #include "src/proto/ctmsp.h"
 #include "src/proto/recovery.h"
+#include "src/sim/rng.h"
 
 namespace ctms {
 
@@ -128,6 +129,7 @@ class VcaSourceDriver {
   ProbeBus* probes_;
   CtmspTransmitter* connection_;
   Config config_;
+  Rng rng_;  // IRQ jitter and VBR burst sizes, forked at construction
 
   OutputMode mode_ = OutputMode::kCtmspDirect;
   RecoveryTx* recovery_tx_ = nullptr;

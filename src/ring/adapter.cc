@@ -8,6 +8,7 @@ TokenRingAdapter::TokenRingAdapter(Machine* machine, TokenRing* ring, Config con
     : machine_(machine),
       ring_(ring),
       config_(config),
+      rng_(machine->sim()->rng().Fork()),
       tx_dma_(machine->sim(), machine->name() + ".tr-tx-dma", &machine->cpu(), &machine->copies()),
       rx_dma_(machine->sim(), machine->name() + ".tr-rx-dma", &machine->cpu(), &machine->copies()),
       free_host_rx_buffers_(config.host_rx_buffers) {
@@ -128,7 +129,7 @@ void TokenRingAdapter::TryStartRxDma() {
   const Frame& frame = onboard_rx_.front();
   const SimDuration jitter =
       config_.rx_processing_jitter > 0
-          ? machine_->sim()->rng().UniformDuration(0, config_.rx_processing_jitter)
+          ? rng_.UniformDuration(0, config_.rx_processing_jitter)
           : 0;
   machine_->sim()->After(jitter, [this]() {
     const Frame in_dma = onboard_rx_.front();

@@ -26,6 +26,7 @@
 #include "src/hw/memory.h"
 #include "src/ring/frame.h"
 #include "src/ring/token_ring.h"
+#include "src/sim/rng.h"
 
 namespace ctms {
 
@@ -118,6 +119,7 @@ class TokenRingAdapter {
   Machine* machine_;
   TokenRing* ring_;
   Config config_;
+  Rng rng_;  // receive processing jitter, forked at construction
   RingAddress address_;
   DmaEngine tx_dma_;
   DmaEngine rx_dma_;

@@ -203,6 +203,36 @@ TEST_F(CpuTest, NestedContentionIsSingleFactor) {
   EXPECT_EQ(done2, Microseconds(100));  // back to full speed
 }
 
+// Each Cpu draws its dispatch jitter from its own stream, forked at construction, so an
+// extra interrupt on one machine shifts no draw of another.
+TEST(CpuStreamTest, ExtraInterruptOnOneCpuLeavesAnotherCpusDrawsAlone) {
+  const auto spans_of_b = [](bool extra) {
+    Simulation sim(7);
+    sim.telemetry().tracer.set_enabled(true);
+    Cpu a(&sim, "a.cpu");
+    Cpu b(&sim, "b.cpu");
+    for (SimTime at = 0; at < Milliseconds(10); at += Microseconds(500)) {
+      sim.At(at, [&b]() { b.SubmitInterrupt("irq", Spl::kImp, Microseconds(30), nullptr); });
+    }
+    if (extra) {
+      sim.At(Microseconds(250),
+             [&a]() { a.SubmitInterrupt("extra", Spl::kImp, Microseconds(30), nullptr); });
+    }
+    sim.RunUntil(Milliseconds(20));
+    std::vector<std::string> spans;
+    const SpanTracer& tracer = sim.telemetry().tracer;
+    for (const TraceSpan& span : tracer.spans()) {
+      if (tracer.tracks()[static_cast<size_t>(span.track)] == "cpu.b") {
+        spans.push_back(std::to_string(span.start) + "+" + std::to_string(span.duration));
+      }
+    }
+    return spans;
+  };
+  const std::vector<std::string> alone = spans_of_b(false);
+  ASSERT_EQ(alone.size(), 40u);  // 20 interrupts: dispatch slot and handler step each
+  EXPECT_EQ(spans_of_b(true), alone);
+}
+
 TEST(CopyEngineTest, CostDependsOnMemoryKinds) {
   CopyEngine engine;
   const int64_t bytes = 2000;

@@ -22,7 +22,7 @@ TEST(GoldenCalibration, TestCaseATenSeconds) {
   const SummaryStats hist7 = report.ground_truth.pre_tx_to_rx.Summary();
   // The best observed latency over 10 s, exactly (nanoseconds; the analytical floor is
   // 10 739 500 and the rx-side jitter terms rarely all hit zero together).
-  EXPECT_EQ(hist7.min, 10748875);
+  EXPECT_EQ(hist7.min, 10747406);
   EXPECT_NEAR(hist7.mean, 1.089e7, 1e5);
 }
 

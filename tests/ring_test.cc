@@ -327,5 +327,38 @@ TEST_F(AdapterTest, MacReceiveModeDeliversMacFrames) {
   EXPECT_EQ(mac_seen, 1);
 }
 
+// Each adapter draws its receive jitter from its own stream, forked at construction, so an
+// extra frame to one adapter shifts no draw of another.
+TEST(AdapterStreamTest, ExtraFrameToOneAdapterLeavesAnotherAdaptersJitterAlone) {
+  const auto receive_times_of_b = [](bool extra) {
+    Simulation sim(7);
+    TokenRing ring(&sim);
+    Machine ma(&sim, "a");
+    Machine mb(&sim, "b");
+    TokenRingAdapter a(&ma, &ring, TokenRingAdapter::Config{});
+    TokenRingAdapter b(&mb, &ring, TokenRingAdapter::Config{});
+    std::vector<SimTime> received;
+    a.SetReceiveHandler([&a](const Frame&) { a.ReleaseRxBuffer(); });
+    b.SetReceiveHandler([&](const Frame&) {
+      received.push_back(sim.Now());
+      b.ReleaseRxBuffer();
+    });
+    for (int i = 0; i < 10; ++i) {
+      sim.At(Milliseconds(5) * i, [&b, i]() {
+        b.OnFrameOnWire(MakeLlcFrame(9, b.address(), 1000, 0, static_cast<uint32_t>(i)));
+      });
+    }
+    if (extra) {
+      sim.At(Milliseconds(1),
+             [&a]() { a.OnFrameOnWire(MakeLlcFrame(9, a.address(), 1000)); });
+    }
+    sim.RunUntil(Milliseconds(100));
+    return received;
+  };
+  const std::vector<SimTime> alone = receive_times_of_b(false);
+  ASSERT_EQ(alone.size(), 10u);
+  EXPECT_EQ(receive_times_of_b(true), alone);
+}
+
 }  // namespace
 }  // namespace ctms
