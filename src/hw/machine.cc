@@ -21,15 +21,18 @@ void Machine::StartHardclock(SimDuration handler_cost) {
   for (const char c : name_) {
     phase = (phase * 31 + c) % period;
   }
-  hardclock_cancel_ = SchedulePeriodic(sim_, sim_->Now() + phase, period, [this, handler_cost]() {
-    cpu_.SubmitInterrupt("hardclock", Spl::kClock, handler_cost, nullptr);
-  });
+  Cpu::InterruptSource hardclock;
+  hardclock.name = "hardclock";
+  hardclock.level = Spl::kClock;
+  hardclock.period = period;
+  hardclock.length = handler_cost;
+  hardclock_ = cpu_.StartSource(hardclock, sim_->Now() + phase);
 }
 
 void Machine::StopHardclock() {
-  if (hardclock_cancel_) {
-    hardclock_cancel_();
-    hardclock_cancel_ = nullptr;
+  if (hardclock_.has_value()) {
+    cpu_.StopSource(*hardclock_);
+    hardclock_.reset();
   }
 }
 

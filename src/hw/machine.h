@@ -6,8 +6,8 @@
 #ifndef SRC_HW_MACHINE_H_
 #define SRC_HW_MACHINE_H_
 
-#include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "src/hw/cpu.h"
@@ -35,8 +35,9 @@ class Machine {
   SimDuration ChargeCpuCopy(int64_t bytes, MemoryKind src, MemoryKind dst);
 
   // Starts the 4.3BSD hardclock: a 100 Hz interrupt at splclock whose handler costs
-  // `handler_cost`. Present on every UNIX machine in the testbed; a background source of
-  // dispatch jitter even in the paper's "stand alone" Test Case A.
+  // `handler_cost`, run by the CPU as a background interrupt source. Present on every UNIX
+  // machine in the testbed; a background source of dispatch jitter even in the paper's
+  // "stand alone" Test Case A.
   void StartHardclock(SimDuration handler_cost = Microseconds(90));
   void StopHardclock();
 
@@ -45,7 +46,7 @@ class Machine {
   std::string name_;
   Cpu cpu_;
   CopyEngine copies_;
-  std::function<void()> hardclock_cancel_;
+  std::optional<Cpu::SourceId> hardclock_;
 };
 
 }  // namespace ctms

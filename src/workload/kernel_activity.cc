@@ -11,81 +11,53 @@ KernelBackgroundActivity::~KernelBackgroundActivity() { Stop(); }
 
 void KernelBackgroundActivity::Start() {
   Stop();
-  running_ = true;
-  Simulation* sim = machine_->sim();
-  const SimDuration phase = rng_.UniformDuration(0, config_.softclock_period);
-  softclock_cancel_ =
-      SchedulePeriodic(sim, sim->Now() + phase, config_.softclock_period, [this]() {
-        machine_->cpu().SubmitInterrupt("softclock", Spl::kSoftClock, config_.softclock_cost,
-                                        nullptr);
-      });
-  ScheduleNextShortSection();
-  ScheduleNextLongSection();
-  ScheduleNextStall();
+  Cpu& cpu = machine_->cpu();
+  const SimTime now = machine_->sim()->Now();
+  Cpu::InterruptSource softclock;
+  softclock.name = "softclock";
+  softclock.level = Spl::kSoftClock;
+  softclock.period = config_.softclock_period;
+  softclock.length = config_.softclock_cost;
+  sources_.push_back(
+      cpu.StartSource(softclock, now + rng_.UniformDuration(0, config_.softclock_period)));
+  // The three kinds of section share this activity's stream: each arrival draws its length,
+  // then its kind's next wait.
+  const auto start_sections = [&](const char* name, SimDuration mean, SimDuration min,
+                                  SimDuration max) {
+    Cpu::InterruptSource section;
+    section.name = name;
+    section.level = config_.section_level;
+    section.mean = mean;
+    section.min = min;
+    section.max = max;
+    section.rng = &rng_;
+    sources_.push_back(cpu.StartSource(section, now + rng_.ExponentialDuration(mean)));
+  };
+  start_sections("kern-protected-short", config_.short_interarrival_mean, config_.short_min,
+                 config_.short_max);
+  start_sections("kern-protected-long", config_.long_interarrival_mean, config_.long_min,
+                 config_.long_max);
+  if (config_.stall_interarrival_mean > 0) {
+    start_sections("analysis-stall", config_.stall_interarrival_mean, config_.stall_min,
+                   config_.stall_max);
+  }
 }
 
 void KernelBackgroundActivity::Stop() {
-  running_ = false;
-  if (softclock_cancel_) {
-    softclock_cancel_();
-    softclock_cancel_ = nullptr;
+  Cpu& cpu = machine_->cpu();
+  stopped_sections_ = sections_run();
+  for (const Cpu::SourceId id : sources_) {
+    cpu.StopSource(id);
   }
-  if (short_event_ != kInvalidEventId) {
-    machine_->sim()->Cancel(short_event_);
-    short_event_ = kInvalidEventId;
-  }
-  if (long_event_ != kInvalidEventId) {
-    machine_->sim()->Cancel(long_event_);
-    long_event_ = kInvalidEventId;
-  }
-  if (stall_event_ != kInvalidEventId) {
-    machine_->sim()->Cancel(stall_event_);
-    stall_event_ = kInvalidEventId;
-  }
+  sources_.clear();
 }
 
-void KernelBackgroundActivity::ScheduleNextShortSection() {
-  if (!running_) {
-    return;
+uint64_t KernelBackgroundActivity::sections_run() const {
+  uint64_t sections = stopped_sections_;
+  for (size_t i = 1; i < sources_.size(); ++i) {  // sources_[0] is the softclock
+    sections += machine_->cpu().arrivals(sources_[i]);
   }
-  const SimDuration wait = rng_.ExponentialDuration(config_.short_interarrival_mean);
-  short_event_ = machine_->sim()->After(wait, [this]() {
-    short_event_ = kInvalidEventId;
-    const SimDuration length = rng_.UniformDuration(config_.short_min, config_.short_max);
-    ++sections_run_;
-    machine_->cpu().SubmitInterrupt("kern-protected-short", config_.section_level, length,
-                                    nullptr);
-    ScheduleNextShortSection();
-  });
-}
-
-void KernelBackgroundActivity::ScheduleNextLongSection() {
-  if (!running_) {
-    return;
-  }
-  const SimDuration wait = rng_.ExponentialDuration(config_.long_interarrival_mean);
-  long_event_ = machine_->sim()->After(wait, [this]() {
-    long_event_ = kInvalidEventId;
-    const SimDuration length = rng_.UniformDuration(config_.long_min, config_.long_max);
-    ++sections_run_;
-    machine_->cpu().SubmitInterrupt("kern-protected-long", config_.section_level, length,
-                                    nullptr);
-    ScheduleNextLongSection();
-  });
-}
-
-void KernelBackgroundActivity::ScheduleNextStall() {
-  if (!running_ || config_.stall_interarrival_mean <= 0) {
-    return;
-  }
-  const SimDuration wait = rng_.ExponentialDuration(config_.stall_interarrival_mean);
-  stall_event_ = machine_->sim()->After(wait, [this]() {
-    stall_event_ = kInvalidEventId;
-    const SimDuration length = rng_.UniformDuration(config_.stall_min, config_.stall_max);
-    ++sections_run_;
-    machine_->cpu().SubmitInterrupt("analysis-stall", config_.section_level, length, nullptr);
-    ScheduleNextStall();
-  });
+  return sections;
 }
 
 }  // namespace ctms

@@ -10,8 +10,8 @@
 #ifndef SRC_WORKLOAD_KERNEL_ACTIVITY_H_
 #define SRC_WORKLOAD_KERNEL_ACTIVITY_H_
 
-#include <functional>
-#include <string>
+#include <cstdint>
+#include <vector>
 
 #include "src/hw/machine.h"
 #include "src/sim/rng.h"
@@ -51,25 +51,20 @@ class KernelBackgroundActivity {
       : KernelBackgroundActivity(machine, std::move(rng), Config{}) {}
   ~KernelBackgroundActivity();
 
+  // Starts the softclock and the protected sections (and stalls, if enabled) as background
+  // interrupt sources of the machine's CPU, which draws their lengths and waits from this
+  // activity's stream in arrival order. The machine must outlive the activity.
   void Start();
   void Stop();
 
-  uint64_t sections_run() const { return sections_run_; }
+  uint64_t sections_run() const;
 
  private:
-  void ScheduleNextShortSection();
-  void ScheduleNextLongSection();
-  void ScheduleNextStall();
-
   Machine* machine_;
   Rng rng_;
   Config config_;
-  std::function<void()> softclock_cancel_;
-  EventId short_event_ = kInvalidEventId;
-  EventId long_event_ = kInvalidEventId;
-  EventId stall_event_ = kInvalidEventId;
-  bool running_ = false;
-  uint64_t sections_run_ = 0;
+  std::vector<Cpu::SourceId> sources_;  // softclock, then short and long sections and stalls
+  uint64_t stopped_sections_ = 0;       // run by the sections of earlier Starts
 };
 
 }  // namespace ctms

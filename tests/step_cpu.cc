@@ -5,7 +5,8 @@
 
 namespace ctms {
 
-StepCpu::StepCpu(Simulation* sim, std::string name) : sim_(sim), name_(std::move(name)) {
+StepCpu::StepCpu(Simulation* sim, std::string name)
+    : sim_(sim), name_(std::move(name)), rng_(sim->rng().Fork()) {
   // Machines name their processor "<machine>.cpu"; the metric instance drops the redundant
   // suffix so names read cpu.tx.preemptions rather than cpu.tx.cpu.preemptions.
   std::string instance = name_;
@@ -92,7 +93,7 @@ void StepCpu::SubmitInterrupt(Job job) {
   Record* record = job.record_;
   job.record_ = nullptr;
   record->steps[0].duration =
-      dispatch_base_ + (dispatch_jitter_ > 0 ? sim_->rng().UniformDuration(0, dispatch_jitter_) : 0);
+      dispatch_base_ + (dispatch_jitter_ > 0 ? rng_.UniformDuration(0, dispatch_jitter_) : 0);
   record->next_step = 0;
   interrupts_counter_->Increment();
   Enqueue(record);

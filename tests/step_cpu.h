@@ -25,6 +25,7 @@
 
 #include "src/hw/spl.h"
 #include "src/sim/inline_function.h"
+#include "src/sim/rng.h"
 #include "src/sim/simulation.h"
 #include "src/sim/time.h"
 
@@ -154,6 +155,7 @@ class StepCpu {
 
   Simulation* sim_;
   std::string name_;
+  Rng rng_;  // dispatch jitter, forked from the simulation's stream at construction
 
   Record* current_ = nullptr;
   std::vector<Record*> preempted_;  // stack
